@@ -300,48 +300,43 @@ let run_seed ~seed =
 
 (* --- the sweep --- *)
 
-type verdict = {
-  seeds_run : int;
-  total_attacks : int;
-  total_lies_detected : int;
-  total_refusals : int;
-  total_survived : int;
-  total_refused : int;
-  total_degraded : int;
-  total_killed : int;
-  failures : (int * string) list;
-}
+let failures r = r.failures
 
-let run_seeds ?progress ~seeds () =
-  let reports = Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds in
+let name = "adversary"
+let bench_name = "adversary"
+let doc = "every workload under a malicious kernel: Iago lies, remap/replay, identity"
+let default_seeds = 20
+
+let held =
+  "all invariants held: zero plaintext leaks, zero silent corruptions (fault-free \
+   digest or typed refusal), deterministic audit"
+
+let summary reports =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  let seeds = List.length reports and classes = List.length Adv.classes in
+  let attacks = sum (fun r -> r.attacks) and lies = sum (fun r -> r.lies_detected) in
+  let refusals = sum (fun r -> r.refusals) and survived = sum (fun r -> r.survived) in
+  let refused = sum (fun r -> r.refused) and degraded = sum (fun r -> r.degraded) in
+  let killed = sum (fun r -> r.killed) in
   {
-    seeds_run = List.length reports;
-    total_attacks = sum (fun r -> r.attacks);
-    total_lies_detected = sum (fun r -> r.lies_detected);
-    total_refusals = sum (fun r -> r.refusals);
-    total_survived = sum (fun r -> r.survived);
-    total_refused = sum (fun r -> r.refused);
-    total_degraded = sum (fun r -> r.degraded);
-    total_killed = sum (fun r -> r.killed);
-    failures =
-      Sweep.collect_failures ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
+    Sweep.lines =
+      [ Printf.sprintf
+          "adversary: %d seeds x %d classes, %d attacks -> %d survived, %d refused, %d \
+           degraded, %d killed; %d lies detected, %d refusals, %d failures"
+          seeds classes attacks survived refused degraded killed lies refusals
+          (sum (fun r -> List.length r.failures)) ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("classes", Report.Int classes);
+        ("attacks", Report.Int attacks);
+        ("lies_detected", Report.Int lies);
+        ("refusals", Report.Int refusals);
+        ("survived", Report.Int survived);
+        ("refused", Report.Int refused);
+        ("degraded", Report.Int degraded);
+        ("killed", Report.Int killed) ];
+    failures = [];
   }
-
-let seeds_from = Sweep.seeds_from
-let exit_code v = Sweep.exit_code v.failures
-
-let summary_line v =
-  Printf.sprintf
-    "adversary: %d seeds x %d classes, %d attacks -> %d survived, %d refused, \
-     %d degraded, %d killed; %d lies detected, %d refusals, %d failures"
-    v.seeds_run
-    (List.length Adv.classes)
-    v.total_attacks v.total_survived v.total_refused v.total_degraded
-    v.total_killed v.total_lies_detected v.total_refusals
-    (List.length v.failures)
 
 let pp_seed_report ppf r =
   Format.fprintf ppf "seed %d [%s]: %d attacks, %s" r.seed r.workload r.attacks
@@ -353,5 +348,4 @@ let pp_seed_report ppf r =
   (match Sweep.truncation_note r.audit_dropped with
   | Some note -> Format.fprintf ppf " (%s)" note
   | None -> ());
-  List.iter (fun f -> Format.fprintf ppf "@.    FAILED %s" f) r.failures;
-  Format.fprintf ppf "@."
+  List.iter (Format.fprintf ppf "@\n    FAILED %s") r.failures

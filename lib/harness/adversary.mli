@@ -76,25 +76,10 @@ type seed_report = {
   failures : string list;
 }
 
-val run_seed : seed:int -> seed_report
-(** One fault-free baseline plus every attack class twice (9 stacks). *)
+(** {1 The sweep}
 
-type verdict = {
-  seeds_run : int;
-  total_attacks : int;
-  total_lies_detected : int;
-  total_refusals : int;
-  total_survived : int;
-  total_refused : int;
-  total_degraded : int;
-  total_killed : int;
-  failures : (int * string) list;
-}
+    [run_seed] makes one fault-free baseline plus every attack class
+    twice (9 stacks). The BENCH summary ([adversary]) carries attack,
+    lie-detection and refusal totals and the outcome tallies. *)
 
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val seeds_from : base:int -> count:int -> int list
-val exit_code : verdict -> int
-val summary_line : verdict -> string
-val pp_seed_report : Format.formatter -> seed_report -> unit
+include Sweep.S with type seed_report := seed_report

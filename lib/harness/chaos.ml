@@ -128,9 +128,19 @@ type report = {
   trace_failures : string list;
   trace_dropped : int;
   hot_spots : (string * int) list;
+  failures : string list;
 }
 
 let scan_leaks vmm k = Sweep.scan_leaks ~pattern:secret vmm k
+
+let check_report r =
+  (match r.crash with
+  | Some msg -> [ Printf.sprintf "uncaught exception: %s" msg ]
+  | None -> [])
+  @ (match r.leaks with
+    | [] -> []
+    | l -> [ Printf.sprintf "plaintext secret leaked to: %s" (String.concat ", " l) ])
+  @ List.map (Printf.sprintf "trace invariant: %s") r.trace_failures
 
 let run_once ~seed =
   let plan = Inject.random_plan ~seed in
@@ -148,86 +158,73 @@ let run_once ~seed =
       None
     with e -> Some (Printexc.to_string e)
   in
+  let r =
+    {
+      seed;
+      plan;
+      crash;
+      leaks = scan_leaks vmm k;
+      audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
+      audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
+      injections = Inject.injections engine;
+      contained = (Cloak.Vmm.counters vmm).contained;
+      exit_statuses = List.map (fun pid -> (pid, Kernel.exit_status k ~pid)) pids;
+      trace_failures = Trace.Check.verdict trace;
+      trace_dropped = Trace.dropped trace;
+      hot_spots =
+        Profile.hot_spots ~root:"chaos"
+          ~total_cycles:(Cost.cycles (Cloak.Vmm.cost vmm))
+          ~n:3 trace;
+      failures = [];
+    }
+  in
+  { r with failures = check_report r }
+
+(* --- one sweep seed: run twice, check the three invariants --- *)
+
+type seed_report = report
+
+let run_seed ~seed =
+  let r = run_once ~seed in
+  let r' = run_once ~seed in
+  let replay =
+    Sweep.determinism_failure ~audit_a:r.audit ~audit_b:r'.audit
+      ~dropped:(max r.audit_dropped r'.audit_dropped)
+  in
+  { r with failures = r.failures @ Option.to_list replay }
+
+let failures r = r.failures
+
+let name = "chaos"
+let bench_name = "chaos"
+let doc = "seeded fault-injection sweep checking the hostile-world invariants"
+let default_seeds = 10
+let held = "all invariants held: no escapes, no leaks, deterministic replay"
+
+let summary reports =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  let seeds = List.length reports in
+  let injections = sum (fun r -> r.injections) in
+  let contained = sum (fun r -> r.contained) in
+  let kills =
+    sum (fun r -> List.length (List.filter (fun (_, s) -> s = Some (-2)) r.exit_statuses))
+  in
   {
-    seed;
-    plan;
-    crash;
-    leaks = scan_leaks vmm k;
-    audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
-    injections = Inject.injections engine;
-    contained = (Cloak.Vmm.counters vmm).contained;
-    exit_statuses = List.map (fun pid -> (pid, Kernel.exit_status k ~pid)) pids;
-    trace_failures = Trace.Check.verdict trace;
-    trace_dropped = Trace.dropped trace;
-    hot_spots =
-      Profile.hot_spots ~root:"chaos"
-        ~total_cycles:(Cost.cycles (Cloak.Vmm.cost vmm))
-        ~n:3 trace;
+    Sweep.lines =
+      [ Printf.sprintf
+          "\n%d seeds (each run twice): %d injections, %d contained faults, %d \
+           security kills"
+          seeds injections contained kills ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("injections", Report.Int injections);
+        ("contained", Report.Int contained);
+        ("security_kills", Report.Int kills) ];
+    failures = [];
   }
 
-(* --- invariant checking over many seeds --- *)
-
-type verdict = {
-  runs : int;
-  total_injections : int;
-  total_contained : int;
-  security_kills : int;
-  failures : (int * string) list;  (* seed, what broke *)
-}
-
-let check_report r =
-  let fails = ref [] in
-  (match r.crash with
-  | Some msg -> fails := Printf.sprintf "uncaught exception: %s" msg :: !fails
-  | None -> ());
-  (match r.leaks with
-  | [] -> ()
-  | l ->
-      fails :=
-        Printf.sprintf "plaintext secret leaked to: %s" (String.concat ", " l)
-        :: !fails);
-  List.iter
-    (fun f -> fails := Printf.sprintf "trace invariant: %s" f :: !fails)
-    r.trace_failures;
-  !fails
-
-let run_seeds ?(progress = fun _ -> ()) ~seeds () =
-  let failures = ref [] in
-  let runs = ref 0 and inj = ref 0 and cont = ref 0 and kills = ref 0 in
-  List.iter
-    (fun seed ->
-      let r = run_once ~seed in
-      let r' = run_once ~seed in
-      incr runs;
-      inj := !inj + r.injections;
-      cont := !cont + r.contained;
-      kills :=
-        !kills
-        + List.length
-            (List.filter (fun (_, s) -> s = Some (-2)) r.exit_statuses);
-      List.iter (fun f -> failures := (seed, f) :: !failures) (check_report r);
-      (match
-         Sweep.determinism_failure ~audit_a:r.audit ~audit_b:r'.audit
-           ~dropped:(max r.audit_dropped r'.audit_dropped)
-       with
-      | Some what -> failures := (seed, what) :: !failures
-      | None -> ());
-      progress r)
-    seeds;
-  {
-    runs = !runs;
-    total_injections = !inj;
-    total_contained = !cont;
-    security_kills = !kills;
-    failures = List.rev !failures;
-  }
-
-let seeds_from = Sweep.seeds_from
-let exit_code v = Sweep.exit_code v.failures
-
-let pp_report ppf r =
-  Format.fprintf ppf "seed %d: %d injections, %d contained, %s@." r.seed
+let pp_seed_report ppf r =
+  Format.fprintf ppf "seed %d: %d injections, %d contained, %s" r.seed
     r.injections r.contained
     (match r.crash with
     | Some m -> "CRASH " ^ m
@@ -235,20 +232,16 @@ let pp_report ppf r =
         match r.leaks with
         | [] -> "clean"
         | l -> "LEAK " ^ String.concat ", " l));
-  (match Sweep.truncation_note r.audit_dropped with
-  | Some note -> Format.fprintf ppf "    %s@." note
-  | None -> ());
+  let line fmt = Format.fprintf ppf ("@\n    " ^^ fmt) in
+  Option.iter (line "%s") (Sweep.truncation_note r.audit_dropped);
   (match r.hot_spots with
   | [] ->
       if r.trace_dropped > 0 then
-        Format.fprintf ppf
-          "    top cost centers unavailable: trace ring dropped %d events@."
+        line "top cost centers unavailable: trace ring dropped %d events"
           r.trace_dropped
   | spots ->
-      Format.fprintf ppf "    top cost centers:%s@."
+      line "top cost centers:%s"
         (String.concat ""
            (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots)));
-  List.iter
-    (fun f -> Format.fprintf ppf "    TRACE %s@." f)
-    r.trace_failures;
-  List.iter (fun line -> Format.fprintf ppf "    %s@." line) r.audit
+  List.iter (line "FAILED %s") r.failures;
+  List.iter (line "%s") r.audit

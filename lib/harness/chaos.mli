@@ -48,27 +48,19 @@ type report = {
           the first places to look when the regression sentinel flags
           drift under this seed's behavior; empty when the trace ring
           wrapped (see [trace_dropped]) *)
+  failures : string list;
+      (** broken invariants: escaped exception, leaks and trace checks
+          for one run; {!run_seed} adds the replay-determinism check *)
 }
 
 val run_once : seed:int -> report
 (** One seeded chaos run (fresh stack, fresh plan). *)
 
-type verdict = {
-  runs : int;
-  total_injections : int;
-  total_contained : int;
-  security_kills : int;    (** processes terminated with status -2 *)
-  failures : (int * string) list;  (** (seed, broken invariant) — empty
-                                       when the hostile world lost *)
-}
+(** {1 The sweep}
 
-val run_seeds :
-  ?progress:(report -> unit) -> seeds:int list -> unit -> verdict
-(** Run every seed twice (for the determinism invariant) and aggregate. *)
+    Each seed runs twice; the seed's report is the first run's, with the
+    determinism verdict over both audit logs added to its failures. The
+    BENCH summary ([chaos]) totals injections, contained faults and
+    security kills (exit status -2). *)
 
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed. *)
-
-val seeds_from : base:int -> count:int -> int list
-
-val pp_report : Format.formatter -> report -> unit
+include Sweep.S with type seed_report = report

@@ -207,19 +207,19 @@ let calibrate ~seed =
     occurrences = List.map (fun s -> (s, Inject.occurrences engine s)) crash_sites;
   }
 
-(* Up to [per_site] evenly spaced occurrence numbers in [1..total]. *)
+(* Up to [per_site] evenly spaced occurrence numbers in [1..total]: every
+   occurrence when [total <= per_site], else distinct points spanning 1
+   and [total] (the last occurrences are where a cut must prove "never
+   lose"). *)
 let sample ~per_site total =
-  if total <= 0 then []
-  else if total <= per_site then List.init total (fun i -> i + 1)
-  else
-    List.init per_site (fun i -> 1 + (i * (total - 1) / (per_site - 1)))
-    |> List.sort_uniq compare
+  let k = max 0 (min per_site total) in
+  List.init k (fun i -> 1 + (i * (total - 1) / max 1 (k - 1)))
 
-let points_of_stats ?(per_site = 6) stats =
+let points ~per_site occurrences =
   List.concat_map
     (fun (site, total) ->
       List.map (fun occurrence -> { site; occurrence }) (sample ~per_site total))
-    stats.occurrences
+    occurrences
 
 (* --- crash, then recover --- *)
 
@@ -290,9 +290,9 @@ let run_point ~seed point =
         in
         (store, fun ~dev:_ ~block:_ -> None)
   in
-  let t0 = Sys.time () in
-  let r = Cloak.Recovery.replay ~vmm:vmm2 ~store ~read_block in
-  let replay_s = Sys.time () -. t0 in
+  let r, replay_s =
+    Sweep.timed (fun () -> Cloak.Recovery.replay ~vmm:vmm2 ~store ~read_block)
+  in
   let fails = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
   let quarantined tag =
@@ -369,100 +369,109 @@ let run_point ~seed point =
     trace_dropped = Trace.dropped raw.trace + Trace.dropped trace2;
   }
 
-(* --- the matrix --- *)
+(* --- the matrix: one sweep seed at a time --- *)
 
-type verdict = {
-  seeds : int;
-  points : int;
-  crashes : int;
-  ledger_committed_total : int;
-  committed_total : int;
-  redone_total : int;
-  torn_total : int;
-  quarantined_total : int;
-  replay_s_total : float;
-  records_per_run : int;
-  store_writes_per_run : int;
-  checkpoints_per_run : int;
-  data_writes_per_run : int;
-  site_points : (Inject.site * int) list;
-  failures : (int * string) list;  (* seed, what broke *)
+type seed_report = {
+  seed : int;
+  stats : journal_stats;
+  outcomes : outcome list;
+  failures : string list;
 }
 
-let run_matrix ?(progress = fun _ -> ()) ?(per_site = 6) ~seeds () =
-  let failures = ref [] in
-  let points = ref 0 and crashes = ref 0 in
-  let ledger = ref 0 and comm = ref 0 and red = ref 0 and torn = ref 0 in
-  let quar = ref 0 and replay = ref 0.0 in
-  let recs = ref 0 and sw = ref 0 and cks = ref 0 and dw = ref 0 in
-  let site_points = Hashtbl.create 8 in
-  List.iter
-    (fun seed ->
-      let stats = calibrate ~seed in
-      recs := !recs + stats.records;
-      sw := !sw + stats.store_writes;
-      cks := !cks + stats.checkpoints;
-      dw := !dw + stats.data_writes;
-      List.iter
-        (fun point ->
-          let o = run_point ~seed point in
-          (* invariant 3: the whole crash + recovery story replays
-             bit-identically from the same seed *)
-          let o' = run_point ~seed point in
-          incr points;
-          if o.crashed then incr crashes
-          else
-            failures :=
-              (seed, Printf.sprintf "%s never fired" (point_to_string point))
-              :: !failures;
-          ledger := !ledger + o.ledger_committed;
-          comm := !comm + o.committed;
-          red := !red + o.redone;
-          torn := !torn + o.torn;
-          quar := !quar + o.quarantined;
-          replay := !replay +. o.replay_s;
-          Hashtbl.replace site_points point.site
-            (1 + Option.value ~default:0 (Hashtbl.find_opt site_points point.site));
-          List.iter
-            (fun f ->
-              failures := (seed, Printf.sprintf "%s: %s" (point_to_string point) f) :: !failures)
-            o.failures;
-          (match
-             Sweep.determinism_failure ~audit_a:o.audit ~audit_b:o'.audit
-               ~dropped:(max o.audit_dropped o'.audit_dropped)
-           with
-          | Some what ->
-              failures :=
-                (seed, Printf.sprintf "%s: %s" (point_to_string point) what)
-                :: !failures
-          | None -> ());
-          progress o)
-        (points_of_stats ~per_site stats))
-    seeds;
+let run_seed ~seed =
+  let stats = calibrate ~seed in
+  let runs =
+    List.map
+      (fun point ->
+        let o = run_point ~seed point in
+        (* invariant 3: the whole crash + recovery story replays
+           bit-identically from the same seed *)
+        let o' = run_point ~seed point in
+        let replay =
+          Sweep.determinism_failure ~audit_a:o.audit ~audit_b:o'.audit
+            ~dropped:(max o.audit_dropped o'.audit_dropped)
+        in
+        let where = point_to_string point in
+        ( o,
+          (if o.crashed then [] else [ where ^ " never fired" ])
+          @ List.map (Printf.sprintf "%s: %s" where)
+              (o.failures @ Option.to_list replay) ))
+      (points ~per_site:6 stats.occurrences)
+  in
+  { seed; stats; outcomes = List.map fst runs; failures = List.concat_map snd runs }
+
+let failures r = r.failures
+
+let name = "crash-matrix"
+let bench_name = "recovery"
+let doc = "power-cut every journal/device write site across N seeds"
+let default_seeds = 20
+
+let held =
+  "all invariants held: no committed-data loss, no torn-state acceptance, deterministic replay"
+
+let summary reports =
+  let outcomes = List.concat_map (fun r -> r.outcomes) reports in
+  let seeds = List.length reports and points = List.length outcomes in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  let per_run f =
+    if seeds = 0 then 0
+    else List.fold_left (fun acc r -> acc + f r.stats) 0 reports / seeds
+  in
+  let ratio num den = if den = 0 then 0.0 else num /. float_of_int den in
+  let crashes = sum (fun o -> Bool.to_int o.crashed) in
+  let ledger = sum (fun o -> o.ledger_committed) in
+  let committed = sum (fun o -> o.committed) and redone = sum (fun o -> o.redone) in
+  let torn = sum (fun o -> o.torn) in
+  let replay_s = List.fold_left (fun acc o -> acc +. o.replay_s) 0.0 outcomes in
+  let records = per_run (fun s -> s.records) in
+  let store_writes = per_run (fun s -> s.store_writes) in
+  let checkpoints = per_run (fun s -> s.checkpoints) in
+  let data_writes = per_run (fun s -> s.data_writes) in
+  let site_points =
+    List.map
+      (fun site ->
+        ( Inject.site_to_string site,
+          List.length (List.filter (fun o -> o.point.site = site) outcomes) ))
+      crash_sites
+  in
   {
-    seeds = List.length seeds;
-    points = !points;
-    crashes = !crashes;
-    ledger_committed_total = !ledger;
-    committed_total = !comm;
-    redone_total = !red;
-    torn_total = !torn;
-    quarantined_total = !quar;
-    replay_s_total = !replay;
-    records_per_run = (if seeds = [] then 0 else !recs / List.length seeds);
-    store_writes_per_run = (if seeds = [] then 0 else !sw / List.length seeds);
-    checkpoints_per_run = (if seeds = [] then 0 else !cks / List.length seeds);
-    data_writes_per_run = (if seeds = [] then 0 else !dw / List.length seeds);
-    site_points =
-      List.map
-        (fun s -> (s, Option.value ~default:0 (Hashtbl.find_opt site_points s)))
-        crash_sites;
-    failures = List.rev !failures;
+    Sweep.lines =
+      [ Printf.sprintf "\n%d seeds, %d crash points (each run twice): %d power cuts fired"
+          seeds points crashes;
+        "  per site: "
+        ^ String.concat ", "
+            (List.map (fun (s, n) -> Printf.sprintf "%s=%d" s n) site_points);
+        Printf.sprintf
+          "  recovery: %d ledger-committed bindings -> %d committed, %d redone, %d torn, \
+           %d quarantined"
+          ledger committed redone torn
+          (sum (fun o -> o.quarantined));
+        Printf.sprintf
+          "  journal (clean run avg): %d records, %d store writes, %d checkpoints over \
+           %d data writes"
+          records store_writes checkpoints data_writes ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("crash_points", Report.Int points);
+        ("crashes_fired", Report.Int crashes);
+        ("sites", Report.Obj (List.map (fun (s, n) -> (s, Report.Int n)) site_points));
+        ("ledger_committed", Report.Int ledger);
+        ("recovered_committed", Report.Int committed);
+        ("recovered_redone", Report.Int redone);
+        ("torn_quarantined", Report.Int torn);
+        ("replay_total_s", Report.Float replay_s);
+        ("replay_mean_ms", Report.Float (1000.0 *. ratio replay_s points));
+        ("journal_records_per_run", Report.Int records);
+        ("journal_store_writes_per_run", Report.Int store_writes);
+        ("journal_checkpoints_per_run", Report.Int checkpoints);
+        ("data_writes_per_run", Report.Int data_writes);
+        ( "journal_writes_per_data_write",
+          Report.Float (ratio (float_of_int store_writes) data_writes) ) ];
+    failures = [];
   }
 
-let seeds_from ~base ~count = List.init (max 0 count) (fun i -> base + (i * 7919))
-
-let pp_outcome ppf o =
+let pp_outcome ppf (o : outcome) =
   Format.fprintf ppf
     "seed %d %-14s %s: ledger=%d committed=%d redone=%d torn=%d quarantined=%d%s"
     o.seed (point_to_string o.point)
@@ -471,3 +480,12 @@ let pp_outcome ppf o =
     (match o.failures with
     | [] -> ""
     | l -> " FAILED " ^ String.concat "; " l)
+
+let pp_seed_report ppf r =
+  Format.pp_print_list ~pp_sep:Format.pp_force_newline pp_outcome ppf r.outcomes
+
+let recover ~seed point =
+  let o = run_point ~seed point in
+  Format.printf "%a@." pp_outcome o;
+  List.iter (Printf.printf "    %s\n") o.audit;
+  Sweep.exit_code o.failures

@@ -54,8 +54,14 @@ val calibrate : seed:int -> journal_stats
 (** One fault-free run: the occurrence counts bound the crash matrix and
     the journal counters feed the overhead benchmark. *)
 
-val points_of_stats : ?per_site:int -> journal_stats -> point list
-(** Up to [per_site] (default 6) evenly spaced occurrences per site. *)
+val sample : per_site:int -> int -> int list
+(** [sample ~per_site total]: the crash-point sampler. Every occurrence
+    [1..total] when [total <= per_site]; otherwise [per_site] distinct,
+    evenly spaced occurrences that include both [1] and [total] (one point,
+    occurrence 1, when [per_site = 1]). *)
+
+val points : per_site:int -> (Inject.site * int) list -> point list
+(** {!sample} applied to each [(site, occurrences)] pair. *)
 
 (** {1 One crash point} *)
 
@@ -68,7 +74,8 @@ type outcome = {
   redone : int;
   torn : int;
   quarantined : int;
-  replay_s : float;         (** wall-clock spent in {!Cloak.Recovery.replay} *)
+  replay_s : float;
+      (** host wall-clock seconds spent in {!Cloak.Recovery.replay} *)
   failures : string list;
       (** broken invariants (durability, authentication, and the
           flight-recorder trace checks over both the crash run and the
@@ -83,32 +90,28 @@ val run_point : seed:int -> point -> outcome
 (** Run the workload until the crash point fires, recover on a fresh
     same-seed VMM from the surviving devices, and check invariants 1-2. *)
 
-(** {1 The matrix} *)
+(** {1 The matrix}
 
-type verdict = {
-  seeds : int;
-  points : int;             (** crash points exercised (each run twice) *)
-  crashes : int;            (** points where the cut actually fired *)
-  ledger_committed_total : int;
-  committed_total : int;
-  redone_total : int;
-  torn_total : int;
-  quarantined_total : int;
-  replay_s_total : float;
-  records_per_run : int;    (** per-seed averages from calibration *)
-  store_writes_per_run : int;
-  checkpoints_per_run : int;
-  data_writes_per_run : int;
-  site_points : (Inject.site * int) list;
-  failures : (int * string) list;
-      (** (seed, broken invariant) — empty when every crash point passed *)
+    One sweep seed calibrates, then runs every sampled crash point twice
+    (the second run checks audit determinism). The BENCH summary
+    ([recovery]) carries crash-point coverage per site, the recovery
+    classification totals, replay host time and the journal overhead. *)
+
+type seed_report = {
+  seed : int;
+  stats : journal_stats;
+  outcomes : outcome list;  (** the first run of each sampled point *)
+  failures : string list;
+      (** ["site#n: what"] per broken invariant, plus ["site#n never
+          fired"] for a cut that did not happen *)
 }
 
-val run_matrix :
-  ?progress:(outcome -> unit) -> ?per_site:int -> seeds:int list -> unit -> verdict
-(** The full sweep: calibrate each seed, run every sampled crash point
-    twice (the second run checks audit determinism), aggregate. *)
-
-val seeds_from : base:int -> count:int -> int list
+include Sweep.S with type seed_report := seed_report
+(** [run_seed] samples 6 points per site. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
+
+val recover : seed:int -> point -> int
+(** Narrate one crash point on stdout — its classification, then the
+    crash-run and recovery audit trail — and return the process exit
+    status ({!Sweep.exit_code} over its failures). *)

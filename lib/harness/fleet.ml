@@ -1104,76 +1104,6 @@ let run_seed ~seed =
     failures = List.rev !fails;
   }
 
-type verdict = {
-  seeds_run : int;
-  ff_budget_pct : float;  (* worst seed *)
-  total_deaths : int;
-  total_drains : int;
-  total_failovers : int;
-  total_lost : int;
-  total_hb_timeouts : int;
-  total_sheds : int;
-  total_double_resumes : int;
-  sup_goodput : int;
-  unsup_goodput : int;
-  p95_latency : int;       (* worst seed, hostile supervised *)
-  p99_latency : int;       (* worst seed, hostile supervised *)
-  p50_downtime : int;
-  p95_downtime : int;
-  total_tel_samples : int;
-  total_tel_spans : int;
-  total_stitched : int;
-  total_burn_fast : int;
-  total_burn_slow : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
-let run_seeds ?progress ~seeds () =
-  let reports =
-    Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds
-  in
-  let hist = Trace.Hist.create () in
-  List.iter
-    (fun r -> List.iter (fun d -> if d > 0 then Trace.Hist.add hist d) r.downtimes)
-    reports;
-  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
-  let worst f init cmp =
-    List.fold_left (fun a r -> if cmp (f r) a then f r else a) init reports
-  in
-  {
-    seeds_run = List.length reports;
-    ff_budget_pct = worst (fun r -> r.ff_budget_pct) 100.0 ( < );
-    total_deaths = sum (fun r -> r.deaths);
-    total_drains = sum (fun r -> r.drains);
-    total_failovers = sum (fun r -> r.failovers);
-    total_lost = sum (fun r -> r.lost_procs);
-    total_hb_timeouts = sum (fun r -> r.hb_timeouts);
-    total_sheds = sum (fun r -> r.sheds);
-    total_double_resumes = sum (fun r -> r.double_resumes);
-    sup_goodput = sum (fun r -> r.sup_goodput);
-    unsup_goodput = sum (fun r -> r.unsup_goodput);
-    p95_latency = worst (fun r -> r.p95_latency) 0 ( > );
-    p99_latency = worst (fun r -> r.p99_latency) 0 ( > );
-    p50_downtime = Trace.Hist.percentile hist 0.5;
-    p95_downtime = Trace.Hist.percentile hist 0.95;
-    total_tel_samples = sum (fun r -> r.tel_samples);
-    total_tel_spans = sum (fun r -> r.tel_spans);
-    total_stitched = sum (fun r -> r.stitched_traces);
-    total_burn_fast = sum (fun r -> r.burn_fast_alerts);
-    total_burn_slow = sum (fun r -> r.burn_slow_alerts);
-    reports;
-    failures =
-      Sweep.collect_failures
-        ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
-  }
-
-let exit_code v = Sweep.exit_code v.failures
-
-let seeds_from = Sweep.seeds_from
-
 (* --- presentation --- *)
 
 let pp_seed_report ppf (r : seed_report) =
@@ -1193,18 +1123,83 @@ let pp_seed_report ppf (r : seed_report) =
     r.p99_latency r.tel_samples r.tel_spans r.stitched_traces
     r.burn_fast_alerts r.burn_slow_alerts
     (if r.failures = [] then "" else " INVARIANTS BROKEN: ")
-    (String.concat "; " r.failures)
+    (String.concat "; " r.failures);
+  List.iter
+    (fun (label, tl) ->
+      Format.fprintf ppf "@\n    %s timeline (window admitted/good p99):%s" label
+        (String.concat " |"
+           (List.map
+              (fun (w, adm, good, p99) -> Printf.sprintf " %d %d/%d %d" w adm good p99)
+              tl)))
+    [ ("supervised", r.sup_timeline); ("unsupervised", r.unsup_timeline) ]
 
-let summary_line (v : verdict) =
-  Printf.sprintf
-    "fleet: %d seeds, ff %.1f%% in budget (worst), %d deaths, %d drains, %d \
-     failovers (%d lost, 0-double-resume=%b), goodput sup=%d unsup=%d, %d \
-     sheds, %d hb timeouts, failover downtime p50=%d p95=%d cycles, %d \
-     stitched traces, burn alerts fast=%d slow=%d, %d invariant failures"
-    v.seeds_run v.ff_budget_pct v.total_deaths v.total_drains v.total_failovers
-    v.total_lost
-    (v.total_double_resumes = 0)
-    v.sup_goodput v.unsup_goodput v.total_sheds v.total_hb_timeouts
-    v.p50_downtime v.p95_downtime v.total_stitched v.total_burn_fast
-    v.total_burn_slow
-    (List.length v.failures)
+let failures (r : seed_report) = r.failures
+
+let name = "fleet"
+let bench_name = "fleet"
+let doc = "fleet supervisor: failover + graceful degradation under open-loop load"
+let default_seeds = 20
+
+let held =
+  "all invariants held: SLO fault-free, supervised goodput beats unsupervised, \
+   exactly-once failover, typed sheds, no leaks, deterministic audit"
+
+let summary (reports : seed_report list) =
+  let hist = Trace.Hist.create () in
+  List.iter
+    (fun r -> List.iter (fun d -> if d > 0 then Trace.Hist.add hist d) r.downtimes)
+    reports;
+  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
+  let worst f init cmp =
+    List.fold_left (fun a r -> if cmp (f r) a then f r else a) init reports
+  in
+  let seeds = List.length reports in
+  let ff_budget = worst (fun r -> r.ff_budget_pct) 100.0 ( < ) in
+  let deaths = sum (fun r -> r.deaths) and drains = sum (fun r -> r.drains) in
+  let failovers = sum (fun r -> r.failovers) and lost = sum (fun r -> r.lost_procs) in
+  let hb = sum (fun r -> r.hb_timeouts) and sheds = sum (fun r -> r.sheds) in
+  let doubles = sum (fun r -> r.double_resumes) in
+  let sup = sum (fun r -> r.sup_goodput) and unsup = sum (fun r -> r.unsup_goodput) in
+  let p95 = worst (fun r -> r.p95_latency) 0 ( > ) in
+  let p99 = worst (fun r -> r.p99_latency) 0 ( > ) in
+  let d50 = Trace.Hist.percentile hist 0.5 and d95 = Trace.Hist.percentile hist 0.95 in
+  let stitched = sum (fun r -> r.stitched_traces) in
+  let fast = sum (fun r -> r.burn_fast_alerts) in
+  let slow = sum (fun r -> r.burn_slow_alerts) in
+  {
+    Sweep.lines =
+      [ Printf.sprintf
+          "fleet: %d seeds, ff %.1f%% in budget (worst), %d deaths, %d drains, %d \
+           failovers (%d lost, 0-double-resume=%b), goodput sup=%d unsup=%d, %d \
+           sheds, %d hb timeouts, failover downtime p50=%d p95=%d cycles, %d \
+           stitched traces, burn alerts fast=%d slow=%d, %d invariant failures"
+          seeds ff_budget deaths drains failovers lost (doubles = 0) sup unsup sheds hb
+          d50 d95 stitched fast slow
+          (sum (fun r -> List.length r.failures));
+        Printf.sprintf
+          "  degradation: %d sheds (all typed), latency p95 %d / p99 %d cycles (worst seed)"
+          sheds p95 p99 ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("hosts", Report.Int n_hosts);
+        ("ff_budget_pct_worst", Report.Float ff_budget);
+        ("deaths", Report.Int deaths);
+        ("drains", Report.Int drains);
+        ("failovers", Report.Int failovers);
+        ("lost_processes", Report.Int lost);
+        ("hb_timeouts", Report.Int hb);
+        ("sheds", Report.Int sheds);
+        ("double_resumes", Report.Int doubles);
+        ("goodput_supervised", Report.Int sup);
+        ("goodput_unsupervised", Report.Int unsup);
+        ("latency_p95_cycles", Report.Int p95);
+        ("latency_p99_cycles", Report.Int p99);
+        ("failover_downtime_p50_cycles", Report.Int d50);
+        ("failover_downtime_p95_cycles", Report.Int d95);
+        ("telemetry_samples", Report.Int (sum (fun r -> r.tel_samples)));
+        ("telemetry_spans", Report.Int (sum (fun r -> r.tel_spans)));
+        ("stitched_traces", Report.Int stitched);
+        ("burn_alerts_fast", Report.Int fast);
+        ("burn_alerts_slow", Report.Int slow) ];
+    failures = [];
+  }

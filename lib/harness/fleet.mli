@@ -150,45 +150,15 @@ type seed_report = {
   failures : string list;
 }
 
-val run_seed : seed:int -> seed_report
-(** Four full fleet runs: fault-free (the latency SLO must hold for
-    ≥99% of admitted requests), the hostile plan twice (audit-stream
-    determinism), and the blackhole plan (graceful degradation). Every
-    committed failover is probed for double resume at both ends. *)
+(** {1 The sweep}
 
-type verdict = {
-  seeds_run : int;
-  ff_budget_pct : float;  (** worst seed *)
-  total_deaths : int;
-  total_drains : int;
-  total_failovers : int;
-  total_lost : int;
-  total_hb_timeouts : int;
-  total_sheds : int;
-  total_double_resumes : int;
-  sup_goodput : int;
-  unsup_goodput : int;
-  p95_latency : int;  (** worst seed, hostile supervised *)
-  p99_latency : int;  (** worst seed, hostile supervised *)
-  p50_downtime : int;
-  p95_downtime : int;
-  total_tel_samples : int;
-  total_tel_spans : int;
-  total_stitched : int;
-  total_burn_fast : int;
-  total_burn_slow : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
+    [run_seed] makes four full fleet runs: fault-free (the latency SLO
+    must hold for ≥99% of admitted requests), the hostile plan twice
+    (audit-stream determinism), and the blackhole plan (graceful
+    degradation). Every committed failover is probed for double resume at
+    both ends. The BENCH summary ([fleet]) carries deaths, drains,
+    failovers, sheds, goodput supervised vs unsupervised, worst-seed tail
+    latency, failover downtime percentiles and telemetry totals; the
+    per-window timelines are printed by [fleet --verbose] instead. *)
 
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed. *)
-
-val seeds_from : base:int -> count:int -> int list
-
-val pp_seed_report : Format.formatter -> seed_report -> unit
-
-val summary_line : verdict -> string
+include Sweep.S with type seed_report := seed_report

@@ -1,4 +1,5 @@
 module Sweep = Sweep
+module type S = Sweep.S
 module Chaos = Chaos
 module Crash = Crash
 module Soak = Soak

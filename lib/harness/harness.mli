@@ -4,25 +4,29 @@
 
 module Sweep = Sweep
 (** Re-export: the shared seed-sweep scaffolding every antagonist harness
-    is built on (canary scans, per-seed configs, determinism check). *)
+    is built on (canary scans, per-seed configs, determinism check, host
+    clock, and the generic runner {!Sweep.run}). *)
+
+module type S = Sweep.S
+(** The harness contract: Chaos, Crash, Soak, Migrate, Fleet and
+    Adversary each implement it, and the CLI builds one sweep subcommand
+    per module. *)
 
 module Chaos = Chaos
 (** Re-export: the seeded chaos harness (randomized fault plans over a
-    mixed cloaked/uncloaked workload; see {!Chaos.run_seeds}). *)
+    mixed cloaked/uncloaked workload). *)
 
 module Crash = Crash
 (** Re-export: the crash-point matrix (power cuts at every durable-write
-    site, followed by recovery replay; see {!Crash.run_matrix}). *)
+    site, followed by recovery replay). *)
 
 module Soak = Soak
 (** Re-export: the availability soak (supervised restart from sealed
-    checkpoints under sustained lethal fault plans; see
-    {!Soak.run_seeds}). *)
+    checkpoints under sustained lethal fault plans). *)
 
 module Migrate = Migrate
 (** Re-export: live migration of a cloaked process over a hostile, lossy
-    channel, with a crash matrix on both sides (see
-    {!Migrate.run_seeds}). *)
+    channel, with a crash matrix on both sides). *)
 
 module Balancer = Cloak.Balancer
 (** Re-export: the fleet supervision policy layer (suspicion scoring,
@@ -30,8 +34,7 @@ module Balancer = Cloak.Balancer
 
 module Fleet = Fleet
 (** Re-export: the multi-VMM fleet under open-loop load — failure
-    detection, migration-based failover, graceful degradation (see
-    {!Fleet.run_seeds}). *)
+    detection, migration-based failover, graceful degradation). *)
 
 module Observe = Observe
 (** Re-export: the observability harness — the telemetry plane's
@@ -40,8 +43,7 @@ module Observe = Observe
 
 module Adversary = Adversary
 (** Re-export: the adversarial-OS sweep (every workload under the
-    malicious-kernel personality, per attack class; see
-    {!Adversary.run_seeds}). *)
+    malicious-kernel personality, per attack class). *)
 
 type result = {
   cycles : int;                 (** model cycles consumed by the scenario *)

@@ -521,8 +521,10 @@ let run_seed ~seed =
           if r.committed && s.Kernel.sup_migrations_completed <> 1 then
             fail (name ^ ": supervision completed count diverges from driver"))
     [ ("clean", clean); ("hostile", h1); ("blackhole", bh) ];
-  if h1.audit <> h2.audit && h1.audit_dropped = 0 && h2.audit_dropped = 0 then
-    fail "hostile determinism: audit logs diverge across identical replays";
+  Option.iter
+    (fun what -> fail ("hostile " ^ what))
+    (Sweep.determinism_failure ~audit_a:h1.audit ~audit_b:h2.audit
+       ~dropped:(max h1.audit_dropped h2.audit_dropped));
   {
     seed;
     clean_committed = clean.committed;
@@ -550,52 +552,6 @@ let run_seed ~seed =
     failures = List.rev !fails;
   }
 
-type verdict = {
-  seeds_run : int;
-  clean_committed : int;
-  hostile_committed : int;
-  hostile_aborted : int;
-  total_attempts : int;
-  total_retries : int;
-  total_mac_failures : int;
-  total_breaker_trips : int;
-  p50_downtime : int;
-  p95_downtime : int;
-  total_wire_frames : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
-let run_seeds ?progress ~seeds () =
-  let reports = Sweep.map_seeds ?progress ~run:(fun ~seed -> run_seed ~seed) seeds in
-  let hist = Trace.Hist.create () in
-  List.iter
-    (fun r ->
-      if r.clean_downtime > 0 then Trace.Hist.add hist r.clean_downtime;
-      if r.hostile_downtime > 0 then Trace.Hist.add hist r.hostile_downtime)
-    reports;
-  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
-  let count p = List.length (List.filter p reports) in
-  {
-    seeds_run = List.length reports;
-    clean_committed = count (fun r -> r.clean_committed);
-    hostile_committed = count (fun r -> r.hostile_committed);
-    hostile_aborted = count (fun r -> not r.hostile_committed);
-    total_attempts = sum (fun r -> r.attempts);
-    total_retries = sum (fun r -> r.retries);
-    total_mac_failures = sum (fun r -> r.mac_failures);
-    total_breaker_trips = sum (fun r -> r.breaker_trips);
-    p50_downtime = Trace.Hist.percentile hist 0.5;
-    p95_downtime = Trace.Hist.percentile hist 0.95;
-    total_wire_frames = sum (fun r -> r.wire_frames);
-    reports;
-    failures =
-      Sweep.collect_failures
-        ~seed_of:(fun r -> r.seed)
-        ~failures_of:(fun r -> r.failures)
-        reports;
-  }
-
 (* --- crash matrix over the channel sites ---
 
    Power the source VMM off at every occurrence of every Mig_* site (as
@@ -610,18 +566,6 @@ let mig_sites = [ Inject.Mig_send; Inject.Mig_recv; Inject.Mig_ack ]
 let calibrate ~seed =
   let r = run_once ~plan:(Inject.plan ~seed []) ~seed in
   List.map (fun s -> (s, Inject.occurrences r.st.engine s)) mig_sites
-
-let points_of ?(per_site = 4) occs =
-  List.concat_map
-    (fun ((site : Inject.site), n) ->
-      if n <= 0 then []
-      else
-        let k = min per_site n in
-        (* span 1..n inclusive: the last occurrences are the post-fence
-           COMMIT exchange, where the crash must prove "never lose" *)
-        List.init k (fun i ->
-            { Crash.site; occurrence = 1 + (i * (n - 1) / max 1 (k - 1)) }))
-    occs
 
 type crash_outcome = {
   point : Crash.point;
@@ -646,8 +590,10 @@ let run_crash_point ~seed (p : Crash.point) =
   let r2 = run_once ~plan:(plan ()) ~seed in
   let fails = ref [] in
   let fail msg = fails := msg :: !fails in
-  if r1.audit <> r2.audit && r1.audit_dropped = 0 && r2.audit_dropped = 0 then
-    fail "crash replay diverged";
+  Option.iter
+    (fun what -> fail ("crash replay " ^ what))
+    (Sweep.determinism_failure ~audit_a:r1.audit ~audit_b:r2.audit
+       ~dropped:(max r1.audit_dropped r2.audit_dropped));
   let st = r1.st in
   let crashed = r1.crash <> None in
   let fenced =
@@ -700,7 +646,7 @@ type crash_report = {
   matrix_failures : (string * string) list;
 }
 
-let run_crash_matrix ?per_site ~seeds () =
+let run_crash_matrix ~seeds =
   let points = ref 0 and fenced = ref 0 and fails = ref [] in
   List.iter
     (fun seed ->
@@ -719,15 +665,13 @@ let run_crash_matrix ?per_site ~seeds () =
                   f )
                 :: !fails)
             o.crash_failures)
-        (points_of ?per_site occs))
+        (Crash.points ~per_site:4 occs))
     seeds;
   {
     crash_points = !points;
     crash_fenced = !fenced;
     matrix_failures = List.rev !fails;
   }
-
-let exit_code v c = Sweep.exit_code ~red:(c.matrix_failures <> []) v.failures
 
 (* --- presentation --- *)
 
@@ -747,12 +691,71 @@ let pp_seed_report ppf (r : seed_report) =
     (if r.failures = [] then "" else " INVARIANTS BROKEN: ")
     (String.concat "; " r.failures)
 
-let summary_line (v : verdict) =
-  Printf.sprintf
-    "migration: %d/%d clean, %d/%d hostile committed (%d aborted back, %d \
-     circuit breaks), downtime p50=%d p95=%d cycles, %d retries, %d bad \
-     MACs, %d wire frames, %d invariant failures"
-    v.clean_committed v.seeds_run v.hostile_committed v.seeds_run
-    v.hostile_aborted v.total_breaker_trips v.p50_downtime v.p95_downtime
-    v.total_retries v.total_mac_failures v.total_wire_frames
-    (List.length v.failures)
+let failures (r : seed_report) = r.failures
+
+let name = "migrate"
+let bench_name = "migration"
+let doc = "live-migrate a cloaked process over a hostile, lossy channel"
+let default_seeds = 20
+
+let held =
+  "all invariants held: one incarnation, no wire plaintext, no replayed or tampered \
+   blob accepted, bounded downtime, deterministic audit"
+
+(* The channel crash matrix runs over the sweep's first seeds. *)
+let crash_seeds = 3
+
+(* Beyond the per-seed invariants: the crash matrix holds, the hostile
+   plans actually cost the protocol retries or MAC rejects, and committed
+   runs populated the downtime percentiles. *)
+let summary (reports : seed_report list) =
+  let hist = Trace.Hist.create () in
+  List.iter
+    (fun r ->
+      if r.clean_downtime > 0 then Trace.Hist.add hist r.clean_downtime;
+      if r.hostile_downtime > 0 then Trace.Hist.add hist r.hostile_downtime)
+    reports;
+  let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
+  let count p = List.length (List.filter p reports) in
+  let seeds = List.length reports in
+  let clean = count (fun r -> r.clean_committed) in
+  let hostile = count (fun r -> r.hostile_committed) in
+  let aborted = seeds - hostile in
+  let retries = sum (fun r -> r.retries) and macs = sum (fun r -> r.mac_failures) in
+  let trips = sum (fun r -> r.breaker_trips) and frames = sum (fun r -> r.wire_frames) in
+  let p50 = Trace.Hist.percentile hist 0.5 and p95 = Trace.Hist.percentile hist 0.95 in
+  let first_seeds = List.filteri (fun i _ -> i < crash_seeds) reports in
+  let c = run_crash_matrix ~seeds:(List.map (fun r -> r.seed) first_seeds) in
+  {
+    Sweep.lines =
+      [ Printf.sprintf
+          "migration: %d/%d clean, %d/%d hostile committed (%d aborted back, %d circuit \
+           breaks), downtime p50=%d p95=%d cycles, %d retries, %d bad MACs, %d wire \
+           frames, %d invariant failures"
+          clean seeds hostile seeds aborted trips p50 p95 retries macs frames
+          (sum (fun r -> List.length r.failures));
+        Printf.sprintf
+          "  crash matrix: %d points over the channel sites, %d post-fence, %d failures"
+          c.crash_points c.crash_fenced
+          (List.length c.matrix_failures) ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("rounds_per_run", Report.Int rounds);
+        ("clean_committed", Report.Int clean);
+        ("hostile_committed", Report.Int hostile);
+        ("hostile_aborted", Report.Int aborted);
+        ("attempts", Report.Int (sum (fun r -> r.attempts)));
+        ("retries", Report.Int retries);
+        ("chunk_mac_failures", Report.Int macs);
+        ("breaker_trips", Report.Int trips);
+        ("downtime_p50_cycles", Report.Int p50);
+        ("downtime_p95_cycles", Report.Int p95);
+        ("wire_frames", Report.Int frames);
+        ("crash_points", Report.Int c.crash_points);
+        ("crash_fenced", Report.Int c.crash_fenced) ];
+    failures =
+      List.map (fun (point, what) -> point ^ ": " ^ what) c.matrix_failures
+      @ (if retries + macs > 0 then []
+         else [ "the hostile plans cost no retries and no MAC rejects" ])
+      @ if p50 > 0 && p95 >= p50 then [] else [ "downtime percentiles not populated" ];
+  }

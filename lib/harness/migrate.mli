@@ -78,29 +78,6 @@ type seed_report = {
   failures : string list;  (** broken invariants; empty = passed *)
 }
 
-val run_seed : seed:int -> seed_report
-(** Four full runs (clean, hostile twice for determinism, blackhole for
-    the abort path) plus the invariant checks and adversarial probes. *)
-
-type verdict = {
-  seeds_run : int;
-  clean_committed : int;
-  hostile_committed : int;
-  hostile_aborted : int;
-  total_attempts : int;
-  total_retries : int;
-  total_mac_failures : int;
-  total_breaker_trips : int;
-  p50_downtime : int;  (** over every committed run's downtime *)
-  p95_downtime : int;
-  total_wire_frames : int;
-  reports : seed_report list;
-  failures : (int * string) list;  (** (seed, broken invariant) *)
-}
-
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
 (** {1 Crash matrix}
 
     Power the source off at every calibrated occurrence of every channel
@@ -127,17 +104,19 @@ type crash_report = {
   matrix_failures : (string * string) list;  (** (point, failure) *)
 }
 
-val run_crash_matrix :
-  ?per_site:int -> seeds:int list -> unit -> crash_report
+val run_crash_matrix : seeds:int list -> crash_report
 (** Calibrate each seed's clean run for [Mig_*] occurrence counts, then
-    sample up to [per_site] (default 4) crash points per site. *)
+    run up to 4 crash points per site ({!Crash.sample}). *)
 
-val exit_code : verdict -> crash_report -> int
-(** Process exit status for the CLI: 0 iff neither the sweep nor the
-    crash matrix broke an invariant. *)
+(** {1 The sweep}
 
-val pp_seed_report : Format.formatter -> seed_report -> unit
+    [run_seed] makes four full runs (clean, hostile twice for
+    determinism, blackhole for the abort path) plus the invariant checks
+    and adversarial probes. The BENCH summary ([migration]) carries the
+    commit/abort split, retries, MAC rejects, breaker trips, downtime
+    percentiles and wire frames, plus the channel crash matrix over the
+    first 3 sweep seeds. Sweep-level failures: any crash-matrix failure,
+    hostile plans that cost neither a retry nor a MAC reject, or
+    unpopulated downtime percentiles. *)
 
-val summary_line : verdict -> string
-(** One line: commit/abort split, downtime percentiles, retry and
-    bad-MAC totals, invariant failures. *)
+include Sweep.S with type seed_report := seed_report

@@ -102,7 +102,36 @@ let run ?(seed = 7) () =
     o_failures = List.rev !fails;
   }
 
-let exit_code r = Sweep.exit_code (List.map (fun f -> (r.o_seed, f)) r.o_failures)
+let held =
+  "telemetry plane held: zero model cycles with registries off, stitched cross-host \
+   traces and burn-rate paging with them on, silence fault-free"
+
+let timeline_json tl =
+  Report.List
+    (List.map
+       (fun (w, adm, good, p99) ->
+         Report.Obj
+           [ ("window", Report.Int w);
+             ("admitted", Report.Int adm);
+             ("good", Report.Int good);
+             ("p99_cycles", Report.Int p99) ])
+       tl)
+
+let fields r =
+  [ ("seed", Report.Int r.o_seed);
+    ("cycles_registry_off", Report.Int r.o_cycles_off);
+    ("cycles_registry_on", Report.Int r.o_cycles_on);
+    ("delta_cycles", Report.Int (delta r));
+    ("zero_model_cycle_overhead", Report.Bool (zero_overhead r));
+    ("samples", Report.Int r.o_samples);
+    ("spans", Report.Int r.o_spans);
+    ("failovers", Report.Int r.o_failovers);
+    ("stitched_traces", Report.Int r.o_stitched);
+    ("burn_alerts_fast", Report.Int r.o_fast_alerts);
+    ("burn_alerts_slow", Report.Int r.o_slow_alerts);
+    ("worst_burn", Report.Float r.o_worst_burn);
+    ("sup_timeline", timeline_json r.o_sup_timeline);
+    ("unsup_timeline", timeline_json r.o_unsup_timeline) ]
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -45,7 +45,11 @@ val delta : report -> int
 
 val zero_overhead : report -> bool
 
-val exit_code : report -> int
-(** 0 iff every check above held. *)
+val held : string
+(** What a report with no [o_failures] proved. *)
+
+val fields : report -> (string * Report.t) list
+(** The BENCH summary fields ([telemetry]), per-window timelines
+    included. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -309,20 +309,6 @@ type seed_report = {
   failures : string list;
 }
 
-type verdict = {
-  seeds_run : int;
-  availability_sup : float;  (** mean percent of fault-free useful work *)
-  availability_unsup : float;
-  mttr_cycles : float;  (** mean recovery cycles per restart *)
-  total_restarts : int;
-  total_circuit_breaks : int;
-  total_checkpoints : int;
-  total_units_sup : int;
-  total_units_unsup : int;
-  reports : seed_report list;
-  failures : (int * string) list;
-}
-
 let run_seed ~seed =
   let fault_free = run_once ~plan:(Inject.plan ~seed []) ~seed ~supervised:true in
   let plan = soak_plan ~seed in
@@ -371,44 +357,79 @@ let run_seed ~seed =
     failures = List.rev !fails;
   }
 
-let run_seeds ?(progress = fun _ -> ()) ~seeds () =
-  let reports = Sweep.map_seeds ~progress ~run:(fun ~seed -> run_seed ~seed) seeds in
-  let failures =
-    Sweep.collect_failures ~seed_of:(fun r -> r.seed)
-      ~failures_of:(fun r -> r.failures)
-      reports
-  in
+let failures r = r.failures
+
+let name = "soak"
+let bench_name = "availability"
+let doc = "supervised availability soak under sustained lethal fault plans"
+let default_seeds = 20
+
+let held =
+  "all invariants held: privacy across restarts, no stale-checkpoint acceptance, \
+   deterministic audit"
+
+(* Beyond the per-seed invariants, the sweep must show the plans bit
+   (restarts, sealed checkpoints) and supervision strictly beating its
+   absence on total useful work — the soak's reason to exist. *)
+let summary reports =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let mean_pct num den =
+  let mean_pct num =
     let pcts =
       List.filter_map
-        (fun r -> if den r = 0 then None else Some (100.0 *. float_of_int (num r) /. float_of_int (den r)))
+        (fun r ->
+          if r.units_ff = 0 then None
+          else Some (100.0 *. float_of_int (num r) /. float_of_int r.units_ff))
         reports
     in
     match pcts with
     | [] -> 0.0
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  let total_restarts = sum (fun r -> r.restarts) in
-  let total_recovery = sum (fun r -> r.recovery_cycles) in
+  let seeds = List.length reports in
+  let avail_sup = mean_pct (fun r -> r.units_sup) in
+  let avail_unsup = mean_pct (fun r -> r.units_unsup) in
+  let restarts = sum (fun r -> r.restarts) in
+  let mttr =
+    if restarts = 0 then 0.0
+    else float_of_int (sum (fun r -> r.recovery_cycles)) /. float_of_int restarts
+  in
+  let breaks = sum (fun r -> r.circuit_breaks) in
+  let checkpoints = sum (fun r -> r.checkpoints) in
+  let units_sup = sum (fun r -> r.units_sup) in
+  let units_unsup = sum (fun r -> r.units_unsup) in
   {
-    seeds_run = List.length reports;
-    availability_sup = mean_pct (fun r -> r.units_sup) (fun r -> r.units_ff);
-    availability_unsup = mean_pct (fun r -> r.units_unsup) (fun r -> r.units_ff);
-    mttr_cycles =
-      (if total_restarts = 0 then 0.0
-       else float_of_int total_recovery /. float_of_int total_restarts);
-    total_restarts;
-    total_circuit_breaks = sum (fun r -> r.circuit_breaks);
-    total_checkpoints = sum (fun r -> r.checkpoints);
-    total_units_sup = sum (fun r -> r.units_sup);
-    total_units_unsup = sum (fun r -> r.units_unsup);
-    reports;
-    failures;
+    Sweep.lines =
+      [ Printf.sprintf
+          "soak: %d seeds, availability %.1f%% supervised vs %.1f%% unsupervised, MTTR \
+           %.0f cycles, %d restarts, %d circuit-breaks, %d failures"
+          seeds avail_sup avail_unsup mttr restarts breaks
+          (sum (fun r -> List.length r.failures));
+        Printf.sprintf
+          "  useful work: %d units supervised vs %d unsupervised, %d checkpoints sealed"
+          units_sup units_unsup checkpoints ];
+    fields =
+      [ ("seeds", Report.Int seeds);
+        ("rounds_per_run", Report.Int rounds);
+        ("availability_supervised", Report.Float avail_sup);
+        ("availability_unsupervised", Report.Float avail_unsup);
+        ("mttr_cycles", Report.Float mttr);
+        ("restarts", Report.Int restarts);
+        ("circuit_breaks", Report.Int breaks);
+        ("checkpoints", Report.Int checkpoints);
+        ("units_supervised", Report.Int units_sup);
+        ("units_unsupervised", Report.Int units_unsup) ];
+    failures =
+      (if restarts = 0 then [ "the fault plans never restarted the service" ] else [])
+      @ (if checkpoints = 0 then [ "no checkpoint was ever sealed" ] else [])
+      @
+      if units_sup > units_unsup then []
+      else
+        [ Printf.sprintf "supervision did not beat its absence (%d units vs %d)" units_sup
+            units_unsup ];
   }
 
 let pp_seed_report ppf r =
-  Format.fprintf ppf "seed %d: ff=%d sup=%d unsup=%d restarts=%d breaks=%d ckpts=%d%s%s@."
+  Format.fprintf ppf "seed %d: ff=%d sup=%d unsup=%d restarts=%d breaks=%d ckpts=%d%s%s"
     r.seed r.units_ff r.units_sup r.units_unsup r.restarts r.circuit_breaks
     r.checkpoints
     (if r.audit_dropped > 0 then
@@ -421,21 +442,9 @@ let pp_seed_report ppf r =
   | [] ->
       if r.trace_dropped > 0 then
         Format.fprintf ppf
-          "    top cost centers unavailable: trace ring dropped %d events@."
+          "@\n    top cost centers unavailable: trace ring dropped %d events"
           r.trace_dropped
   | spots ->
-      Format.fprintf ppf "    top cost centers:%s@."
+      Format.fprintf ppf "@\n    top cost centers:%s"
         (String.concat ""
            (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots))
-
-(* Red when any per-seed invariant broke, or when supervision failed to
-   strictly beat its absence over the whole sweep — the soak's reason to
-   exist. *)
-let exit_code v =
-  Sweep.exit_code ~red:(v.total_units_sup <= v.total_units_unsup) v.failures
-
-let summary_line v =
-  Printf.sprintf
-    "soak: %d seeds, availability %.1f%% supervised vs %.1f%% unsupervised, MTTR %.0f cycles, %d restarts, %d circuit-breaks, %d failures"
-    v.seeds_run v.availability_sup v.availability_unsup v.mttr_cycles
-    v.total_restarts v.total_circuit_breaks (List.length v.failures)

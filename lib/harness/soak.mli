@@ -21,7 +21,7 @@
 
     Across the whole seed set, supervision must strictly beat its absence:
     total supervised units > total unsupervised units under the same
-    plans (asserted by the caller; see {!verdict}). *)
+    plans (a sweep-level failure of {!summary}). *)
 
 val canary : string
 val contains_canary : bytes -> bool
@@ -68,33 +68,14 @@ type seed_report = {
           flight-recorder trace checks over every mode); empty = passed *)
 }
 
-type verdict = {
-  seeds_run : int;
-  availability_sup : float;  (** mean % of fault-free useful work *)
-  availability_unsup : float;
-  mttr_cycles : float;       (** mean recovery cycles per restart *)
-  total_restarts : int;
-  total_circuit_breaks : int;
-  total_checkpoints : int;
-  total_units_sup : int;
-  total_units_unsup : int;
-  reports : seed_report list;
-  failures : (int * string) list;  (** (seed, broken invariant) *)
-}
+(** {1 The sweep}
 
-val run_seed : seed:int -> seed_report
-(** Four runs (fault-free, supervised twice for determinism, unsupervised)
-    plus the invariant checks. *)
+    [run_seed] makes four runs (fault-free, supervised twice for
+    determinism, unsupervised) plus the invariant checks. The BENCH
+    summary ([availability]) carries mean availability supervised vs
+    unsupervised, MTTR, restarts, circuit breaks, checkpoints and useful
+    work. Sweep-level failures: no restart, no sealed checkpoint, or
+    supervised useful work not strictly above unsupervised (a tie is not
+    a win). *)
 
-val run_seeds :
-  ?progress:(seed_report -> unit) -> seeds:int list -> unit -> verdict
-
-val exit_code : verdict -> int
-(** Process exit status for the CLI: 0 iff no invariant failed {e and}
-    supervision strictly beat its absence on total useful work. *)
-
-val pp_seed_report : Format.formatter -> seed_report -> unit
-
-val summary_line : verdict -> string
-(** The one-line result: availability supervised vs unsupervised, MTTR,
-    restart and circuit-break counts. *)
+include Sweep.S with type seed_report := seed_report

@@ -1,11 +1,12 @@
 (** Shared seed-sweep scaffolding for the antagonist harnesses.
 
-    Chaos, soak, migrate and fleet all follow the same shape: derive a
-    fault plan per seed, run a canary-carrying workload under it on a
-    seed-salted VMM, scan every OS-visible surface for the canary, re-run
-    the same seed and compare audit logs (tolerating a truncated bounded
-    ring), then aggregate per-seed failures. The mechanics live here once;
-    each harness keeps only its workload, plan generator and invariants. *)
+    Chaos, crash, soak, migrate, fleet and adversary all follow the same
+    shape: derive a fault plan per seed, run a canary-carrying workload
+    under it on a seed-salted VMM, scan every OS-visible surface for the
+    canary, re-run the same seed and compare audit logs (tolerating a
+    truncated bounded ring), then aggregate per-seed failures. The
+    mechanics live here once; each harness keeps only its workload, plan
+    generator and invariants, and states them through {!S}. *)
 
 val contains_pattern : string -> bytes -> bool
 (** Substring scan — the canary detector shared by every privacy check. *)
@@ -37,18 +38,66 @@ val determinism_failure :
     dropped entries (the windows may legitimately differ); otherwise the
     nondeterminism failure. *)
 
-val map_seeds :
-  ?progress:('r -> unit) -> run:(seed:int -> 'r) -> int list -> 'r list
-(** The seed loop: run each seed, reporting progress as results land. *)
+val timed : (unit -> 'a) -> 'a * float
+(** [timed f] runs [f] once and returns its result with the elapsed host
+    wall-clock seconds ([CLOCK_MONOTONIC]). Every [wall_s] in the BENCH
+    files comes from here. *)
 
-val collect_failures :
-  seed_of:('r -> int) -> failures_of:('r -> string list) -> 'r list ->
-  (int * string) list
-(** Flatten per-seed failure lists into the [(seed, what)] pairs every
-    harness verdict carries. *)
+(** {1 The harness contract} *)
 
-val exit_code : ?red:bool -> (int * string) list -> int
-(** The shared process-exit policy behind every harness's [exit_code]:
-    [0] iff the collected failures are empty and no harness-specific
-    [red] condition (e.g. soak's supervised-beats-unsupervised bar,
-    migrate's crash-matrix failures) holds; [1] otherwise. *)
+type summary = {
+  lines : string list;  (** human summary, printed after the seeds *)
+  fields : (string * Report.t) list;
+      (** BENCH fields in file order; the runner appends [wall_s] and
+          [failures] *)
+  failures : string list;
+      (** sweep-level bars that broke (e.g. soak's strict win) *)
+}
+
+(** One seed sweep. A module of this type is all a sweep subcommand, its
+    [--bench-out] writer and its make target need. *)
+module type S = sig
+  val name : string  (** the CLI subcommand *)
+
+  val bench_name : string  (** the BENCH file's ["benchmark"] value *)
+
+  val doc : string  (** one line for [--help] and the usage listing *)
+
+  val default_seeds : int  (** the seed count [make ci] runs *)
+
+  val held : string  (** printed when no invariant broke *)
+
+  type seed_report
+
+  val run_seed : seed:int -> seed_report
+  val failures : seed_report -> string list
+  val pp_seed_report : Format.formatter -> seed_report -> unit
+
+  val summary : seed_report list -> summary
+  (** Aggregate a whole sweep (in seed order) into BENCH fields plus any
+      sweep-level failures. May run extra work, e.g. a crash matrix over
+      the first seeds. *)
+end
+
+val exit_code : 'a list -> int
+(** The one process-exit policy: [0] iff there are no failures. *)
+
+val finish :
+  name:string ->
+  held:string ->
+  wall_s:float ->
+  bench_out:string option ->
+  (string * Report.t) list ->
+  string list ->
+  int
+(** [finish ~name ~held ~wall_s ~bench_out fields failures] writes the
+    BENCH summary [name] (the [fields], then [wall_s] and the failure
+    count) when [bench_out] is given, prints [held] or one [FAILED] line
+    per failure, and returns {!exit_code}. *)
+
+val run :
+  (module S) -> seeds:int -> base:int -> verbose:bool -> bench_out:string option -> int
+(** The generic sweep: run [seeds] seeds from {!seeds_from} [~base],
+    printing each seed's report when [verbose] or when it failed; time the
+    seeds plus the summary on the host clock; print the summary lines and
+    {!finish}. Per-seed failures read ["seed N: what"]. *)

@@ -4,19 +4,20 @@
 open Machine
 open Guest
 
-let chaos_seeds = Harness.Chaos.seeds_from ~base:1 ~count:30
+let chaos_seeds = Harness.Sweep.seeds_from ~base:1 ~count:30
 
-(* Each seed runs twice inside [run_seeds] (determinism check), so this is
+(* Each seed runs twice inside [run_seed] (determinism check), so this is
    60 full-stack runs under 30 distinct fault plans. *)
 let test_invariants () =
-  let v = Harness.Chaos.run_seeds ~seeds:chaos_seeds () in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" [] v.failures;
-  Alcotest.(check int) "all seeds ran" (List.length chaos_seeds) v.runs;
+  let reports = List.map (fun seed -> Harness.Chaos.run_seed ~seed) chaos_seeds in
+  let failures =
+    List.concat_map
+      (fun (r : Harness.Chaos.report) -> List.map (fun f -> (r.seed, f)) r.failures)
+      reports
+  in
+  Alcotest.(check (list (pair int string))) "no invariant failures" [] failures;
   Alcotest.(check bool) "the fault plans actually fired" true
-    (v.total_injections > 0)
+    (List.exists (fun (r : Harness.Chaos.report) -> r.injections > 0) reports)
 
 (* At least some plans must push the stack hard enough that containment
    does real work; otherwise the harness proves nothing. *)
@@ -32,7 +33,7 @@ let test_chaos_exercises_containment () =
     (List.length hits > List.length chaos_seeds / 2)
 
 let test_determinism_audit_exact () =
-  (* beyond run_seeds' pairwise check: a third run still matches, and the
+  (* beyond run_seed's pairwise check: a third run still matches, and the
      audit survives being compared line by line *)
   let seed = 20260806 in
   let a = Harness.Chaos.run_once ~seed in

@@ -206,76 +206,107 @@ let test_receiver_key_drop_without_scrub_flagged () =
   Cloak.Migrate.drop_receiver rcv;
   expect_scrub_violation "receiver" (Trace.Check.verdict trace)
 
-(* --- every harness subcommand's exit code tracks its verdict --- *)
+(* --- the shared exit policy every sweep subcommand runs --- *)
 
-let test_chaos_exit_code () =
-  let v = Harness.Chaos.run_seeds ~seeds:[ 1 ] () in
-  Alcotest.(check int) "green chaos verdict exits 0" 0
-    (Harness.Chaos.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Chaos.exit_code
-       { v with Harness.Chaos.failures = [ (1, "boom") ] })
+(* A sweep with no simulation behind it: seed reports are the seeds, red
+   ones fail, and the summary carries the given sweep-level failures. *)
+let fake ?(red = []) ?(sweep_failures = []) () : (module Harness.S) =
+  (module struct
+    let name = "fake"
+    let bench_name = "fake"
+    let doc = "a sweep over nothing"
+    let default_seeds = 3
+    let held = "fake sweep held"
 
-let test_soak_exit_code () =
-  (* seed 150465's plan restarts the service under supervision and kills
-     the unsupervised baseline early, so the strict-win clause holds on a
-     single seed *)
-  let v = Harness.Soak.run_seeds ~seeds:[ 150465 ] () in
-  Alcotest.(check int) "green soak verdict exits 0" 0
-    (Harness.Soak.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Soak.exit_code { v with Harness.Soak.failures = [ (1, "boom") ] });
+    type seed_report = int
+
+    let run_seed ~seed = seed
+    let failures seed = if List.mem seed red then [ "boom" ] else []
+    let pp_seed_report = Format.pp_print_int
+
+    let summary reports =
+      {
+        Harness.Sweep.lines = [];
+        fields = [ ("seeds", Report.Int (List.length reports)) ];
+        failures = sweep_failures;
+      }
+  end)
+
+let run_fake ?bench_out h = Harness.Sweep.run h ~seeds:3 ~base:1 ~verbose:false ~bench_out
+
+let test_green_exits_0 () =
+  let path = Filename.temp_file "bench_fake" ".json" in
+  Alcotest.(check int) "green sweep exits 0" 0 (run_fake ~bench_out:path (fake ()));
+  let j = Report.load ~path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "fields, then the wall_s/failures envelope"
+    [ "schema_version"; "benchmark"; "seeds"; "wall_s"; "failures" ]
+    (match j with Report.Obj kv -> List.map fst kv | _ -> []);
+  Alcotest.(check (option int)) "no failures counted" (Some 0)
+    (Option.bind (Report.member "failures" j) Report.to_int)
+
+let test_red_seed_exits_1 () =
+  (* the sweep's second seed: base 1 + 7919 *)
+  Alcotest.(check int) "one red seed exits 1" 1 (run_fake (fake ~red:[ 7920 ] ()))
+
+let test_sweep_failure_exits_1 () =
+  Alcotest.(check int) "a sweep-level failure exits 1" 1
+    (run_fake (fake ~sweep_failures:[ "bar missed" ] ()))
+
+(* Soak's strict win on synthetic seed reports: supervision must beat its
+   absence on total useful work, and a tie is not a win. *)
+let test_soak_tie_is_not_a_win () =
+  let report ~seed ~sup ~unsup =
+    {
+      Harness.Soak.seed;
+      units_ff = Harness.Soak.rounds;
+      units_sup = sup;
+      units_unsup = unsup;
+      restarts = 2;
+      circuit_breaks = 0;
+      checkpoints = 10;
+      recovery_cycles = 1000;
+      audit_dropped = 0;
+      trace_dropped = 0;
+      hot_spots = [];
+      failures = [];
+    }
+  in
+  let exit_code reports =
+    Harness.Sweep.exit_code (Harness.Soak.summary reports).Harness.Sweep.failures
+  in
+  Alcotest.(check int) "a strict win exits 0" 0
+    (exit_code [ report ~seed:1 ~sup:20 ~unsup:10; report ~seed:2 ~sup:8 ~unsup:8 ]);
   Alcotest.(check int) "a goodput tie is not a win" 1
-    (Harness.Soak.exit_code
-       { v with Harness.Soak.total_units_sup = v.Harness.Soak.total_units_unsup })
-
-let test_migrate_exit_code () =
-  let v = Harness.Migrate.run_seeds ~seeds:[ 7 ] () in
-  let c = Harness.Migrate.run_crash_matrix ~per_site:1 ~seeds:[ 7 ] () in
-  Alcotest.(check int) "green migrate verdict exits 0" 0
-    (Harness.Migrate.exit_code v c);
-  Alcotest.(check int) "a sweep failure exits 1" 1
-    (Harness.Migrate.exit_code
-       { v with Harness.Migrate.failures = [ (7, "boom") ] }
-       c);
-  Alcotest.(check int) "a crash-matrix failure exits 1" 1
-    (Harness.Migrate.exit_code v
-       { c with Harness.Migrate.matrix_failures = [ ("point", "boom") ] })
-
-let test_fleet_exit_code () =
-  let v = Harness.Fleet.run_seeds ~seeds:[ 1 ] () in
-  Alcotest.(check int) "green fleet verdict exits 0" 0
-    (Harness.Fleet.exit_code v);
-  Alcotest.(check int) "any failure exits 1" 1
-    (Harness.Fleet.exit_code
-       { v with Harness.Fleet.failures = [ (1, "boom") ] })
+    (exit_code [ report ~seed:1 ~sup:12 ~unsup:10; report ~seed:2 ~sup:8 ~unsup:10 ])
 
 (* --- the fleet sweep: supervision wins, exactly-once failover --- *)
 
-let fleet_seeds = Harness.Fleet.seeds_from ~base:1 ~count:3
+let fleet_seeds = Harness.Sweep.seeds_from ~base:1 ~count:3
 
 let test_fleet_invariants () =
-  let v = Harness.Fleet.run_seeds ~seeds:fleet_seeds () in
-  List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.Harness.Fleet.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" []
-    v.Harness.Fleet.failures;
-  Alcotest.(check int) "all seeds ran" (List.length fleet_seeds)
-    v.Harness.Fleet.seeds_run;
+  let reports = List.map (fun seed -> Harness.Fleet.run_seed ~seed) fleet_seeds in
+  let failures =
+    List.concat_map
+      (fun (r : Harness.Fleet.seed_report) -> List.map (fun f -> (r.seed, f)) r.failures)
+      reports
+  in
+  Alcotest.(check (list (pair int string))) "no invariant failures" [] failures;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   (* each seed's hostile and blackhole runs both kill a host *)
   Alcotest.(check bool) "the antagonist drew blood" true
-    (v.Harness.Fleet.total_deaths >= 2 * List.length fleet_seeds);
+    (sum (fun r -> r.Harness.Fleet.deaths) >= 2 * List.length fleet_seeds);
   Alcotest.(check bool) "failovers committed" true
-    (v.Harness.Fleet.total_failovers >= 1);
+    (sum (fun r -> r.Harness.Fleet.failovers) >= 1);
   Alcotest.(check int) "no failover ever resumed twice" 0
-    v.Harness.Fleet.total_double_resumes;
+    (sum (fun r -> r.Harness.Fleet.double_resumes));
   Alcotest.(check bool) "fault-free SLO: >= 99% within budget" true
-    (v.Harness.Fleet.ff_budget_pct >= 99.0);
+    (List.for_all (fun r -> r.Harness.Fleet.ff_budget_pct >= 99.0) reports);
   (* the acceptance bar: the supervised fleet strictly out-serves the
      same arrivals with no supervisor *)
   Alcotest.(check bool) "supervised goodput strictly beats unsupervised" true
-    (v.Harness.Fleet.sup_goodput > v.Harness.Fleet.unsup_goodput);
+    (sum (fun r -> r.Harness.Fleet.sup_goodput)
+    > sum (fun r -> r.Harness.Fleet.unsup_goodput));
   (* every shed is typed: the taxonomy accounts for each rejection *)
   List.iter
     (fun (r : Harness.Fleet.seed_report) ->
@@ -285,7 +316,7 @@ let test_fleet_invariants () =
         r.Harness.Fleet.sheds
         (r.Harness.Fleet.sheds_overload + r.Harness.Fleet.sheds_draining
        + r.Harness.Fleet.sheds_no_capacity))
-    v.Harness.Fleet.reports
+    reports
 
 let () =
   Alcotest.run "fleet"
@@ -320,10 +351,11 @@ let () =
         ] );
       ( "exit-codes",
         [
-          Alcotest.test_case "chaos" `Slow test_chaos_exit_code;
-          Alcotest.test_case "soak" `Slow test_soak_exit_code;
-          Alcotest.test_case "migrate" `Slow test_migrate_exit_code;
-          Alcotest.test_case "fleet" `Slow test_fleet_exit_code;
+          Alcotest.test_case "green sweep exits 0" `Quick test_green_exits_0;
+          Alcotest.test_case "soak" `Quick test_soak_tie_is_not_a_win;
+          Alcotest.test_case "red seed exits 1" `Quick test_red_seed_exits_1;
+          Alcotest.test_case "sweep-level failure exits 1" `Quick
+            test_sweep_failure_exits_1;
         ] );
       ( "sweep",
         [ Alcotest.test_case "3-seed hostile fleet" `Slow test_fleet_invariants ] );

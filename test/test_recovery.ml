@@ -152,29 +152,56 @@ let test_journal_wrong_key_recovers_nothing () =
    target runs the full 20-seed sweep through the CLI) --- *)
 
 let test_crash_matrix () =
-  let v =
-    Harness.Crash.run_matrix ~per_site:3
-      ~seeds:(Harness.Crash.seeds_from ~base:11 ~count:5)
-      ()
+  let reports =
+    List.map
+      (fun seed -> Harness.Crash.run_seed ~seed)
+      (Harness.Sweep.seeds_from ~base:11 ~count:5)
   in
+  let failures =
+    List.concat_map
+      (fun (r : Harness.Crash.seed_report) -> List.map (fun f -> (r.seed, f)) r.failures)
+      reports
+  in
+  Alcotest.(check (list (pair int string))) "no invariant failures" [] failures;
+  let outcomes = List.concat_map (fun r -> r.Harness.Crash.outcomes) reports in
+  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
+  Alcotest.(check bool) "every sampled point actually crashed" true
+    (List.for_all (fun o -> o.Harness.Crash.crashed) outcomes);
   List.iter
-    (fun (seed, what) -> Printf.printf "seed %d: %s\n%!" seed what)
-    v.Harness.Crash.failures;
-  Alcotest.(check (list (pair int string))) "no invariant failures" []
-    v.Harness.Crash.failures;
-  Alcotest.(check int) "every sampled point actually crashed"
-    v.Harness.Crash.points v.Harness.Crash.crashes;
-  List.iter
-    (fun (site, n) ->
+    (fun site ->
       Alcotest.(check bool)
         (Printf.sprintf "site %s covered" (Inject.site_to_string site))
-        true (n > 0))
-    v.Harness.Crash.site_points;
+        true
+        (List.exists (fun o -> o.Harness.Crash.point.site = site) outcomes))
+    Harness.Crash.crash_sites;
   Alcotest.(check bool) "matrix saw committed data" true
-    (v.Harness.Crash.committed_total > 0);
+    (sum (fun o -> o.Harness.Crash.committed) > 0);
   Alcotest.(check bool) "matrix saw torn pages quarantined" true
-    (v.Harness.Crash.torn_total > 0
-    && v.Harness.Crash.quarantined_total > 0)
+    (sum (fun o -> o.Harness.Crash.torn) > 0
+    && sum (fun o -> o.Harness.Crash.quarantined) > 0)
+
+(* The one crash-point sampler behind both crash matrices, over every
+   small (per_site, total) pair: one point per site at per_site = 1 (no
+   division by zero), every occurrence when per_site >= total, otherwise
+   distinct points spanning both ends. *)
+let test_sampler () =
+  for per_site = 1 to 8 do
+    for total = 0 to 40 do
+      let pts = Harness.Crash.sample ~per_site total in
+      let name = Printf.sprintf "per_site=%d total=%d" per_site total in
+      if total = 0 then Alcotest.(check (list int)) name [] pts
+      else if per_site = 1 then Alcotest.(check int) name 1 (List.length pts)
+      else if per_site >= total then
+        Alcotest.(check (list int)) name (List.init total (fun i -> i + 1)) pts
+      else begin
+        Alcotest.(check int) (name ^ " distinct") per_site
+          (List.length (List.sort_uniq compare pts));
+        Alcotest.(check bool) (name ^ " spans 1..total") true
+          (List.mem 1 pts && List.mem total pts
+          && List.for_all (fun p -> p >= 1 && p <= total) pts)
+      end
+    done
+  done
 
 let test_crash_point_deterministic () =
   let point = { Harness.Crash.site = Inject.Blk_write; occurrence = 23 } in
@@ -322,6 +349,7 @@ let () =
             test_crash_point_deterministic;
           Alcotest.test_case "clean run recovers everything" `Quick
             test_recovery_of_clean_run;
+          Alcotest.test_case "sampler edge cases" `Quick test_sampler;
         ] );
       ( "blockdev-errors",
         [
