@@ -17,7 +17,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("E8", "crypto cost model", Experiments.e8_model);
     ("E9", "ablations: quantum + TLB size", Experiments.e9);
     ("E10", "read-only plaintext optimization", Experiments.e10);
-    ("E8b", "crypto wall-clock (bechamel)", Wallclock.run);
   ]
 
 let () =

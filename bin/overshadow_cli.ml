@@ -152,15 +152,14 @@ let run_trace_overhead out =
     [ ("fileio", true, 1);
       ((List.hd Workloads.Spec.kernels).Workloads.Spec.name, true, 1) ]
   in
-  let timed = Harness.Sweep.timed in
   let rows, ok =
     List.fold_left
       (fun (rows, ok) (name, cloaked, scale) ->
         let run = Option.get (traced_workload name) in
-        let baseline, base_s = timed (fun () -> run ~cloaked ~scale ~trace:Trace.null) in
-        let null_r, null_s = timed (fun () -> run ~cloaked ~scale ~trace:Trace.null) in
+        let baseline = run ~cloaked ~scale ~trace:Trace.null in
+        let null_r = run ~cloaked ~scale ~trace:Trace.null in
         let ring = Trace.ring () in
-        let ring_r, ring_s = timed (fun () -> run ~cloaked ~scale ~trace:ring) in
+        let ring_r = run ~cloaked ~scale ~trace:ring in
         let null_d = null_r.Harness.cycles - baseline.Harness.cycles in
         let ring_d = ring_r.Harness.cycles - baseline.Harness.cycles in
         Printf.printf
@@ -176,10 +175,7 @@ let run_trace_overhead out =
               ("ring_sink_cycles", Report.Int ring_r.Harness.cycles);
               ("null_sink_delta_cycles", Report.Int null_d);
               ("ring_sink_delta_cycles", Report.Int ring_d);
-              ("ring_events", Report.Int (Trace.count ring));
-              ("baseline_wall_s", Report.Float base_s);
-              ("null_sink_wall_s", Report.Float null_s);
-              ("ring_sink_wall_s", Report.Float ring_s) ]
+              ("ring_events", Report.Int (Trace.count ring)) ]
         in
         (row :: rows, ok && null_d = 0 && ring_d = 0))
       ([], true) workloads

@@ -74,7 +74,6 @@ let create ~vmm ~cls ~seed =
   }
 
 let executed t = t.executed
-let counters t = Cloak.Vmm.counters t.vmm
 
 let audit t fmt =
   Printf.ksprintf
@@ -83,18 +82,15 @@ let audit t fmt =
         (class_name t.cls) msg)
     fmt
 
-let note t bump fmt =
-  let c = counters t in
-  c.Counters.adv_attacks <- c.Counters.adv_attacks + 1;
+let note t fmt =
   t.executed <- t.executed + 1;
-  bump c;
   audit t fmt
 
 (* --- lying syscall returns (Iago) --- *)
 
 let lie t (call : Abi.call) (v : Abi.value) =
   let lied v' why =
-    note t (fun c -> c.Counters.adv_lies <- c.Counters.adv_lies + 1) "lie: %s" why;
+    note t "lie: %s" why;
     v'
   in
   match (call, v) with
@@ -142,9 +138,7 @@ let lie t (call : Abi.call) (v : Abi.value) =
 
 let confuse_identity t (call : Abi.call) (v : Abi.value) =
   let attacked v' why =
-    note t
-      (fun c -> c.Counters.adv_identity <- c.Counters.adv_identity + 1)
-      "identity: %s" why;
+    note t "identity: %s" why;
     v'
   in
   match (call, v) with
@@ -192,9 +186,7 @@ let attack_address t =
           Page_table.map pt b.vpn a.ppn ~writable:true ~user:true;
           Cloak.Vmm.invlpg t.vmm ~asid:a.asid ~vpn:a.vpn;
           Cloak.Vmm.invlpg t.vmm ~asid:b.asid ~vpn:b.vpn;
-          note t
-            (fun c -> c.Counters.adv_remaps <- c.Counters.adv_remaps + 1)
-            "remap: swapped ppn %d and %d under asid %d" a.ppn b.ppn a.asid
+          note t "remap: swapped ppn %d and %d under asid %d" a.ppn b.ppn a.asid
       | None -> ())
   | 1 -> (
       (* double-map: two cloaked VAs onto one frame *)
@@ -203,9 +195,7 @@ let attack_address t =
           let pt = Cloak.Vmm.page_table t.vmm ~asid:a.asid in
           Page_table.map pt a.vpn b.ppn ~writable:true ~user:true;
           Cloak.Vmm.invlpg t.vmm ~asid:a.asid ~vpn:a.vpn;
-          note t
-            (fun c -> c.Counters.adv_remaps <- c.Counters.adv_remaps + 1)
-            "double-map: vpn %d aliased onto ppn %d under asid %d" a.vpn b.ppn
+          note t "double-map: vpn %d aliased onto ppn %d under asid %d" a.vpn b.ppn
             a.asid
       | None -> ())
   | _ -> (
@@ -215,9 +205,7 @@ let attack_address t =
       | Some (ppn, cipher) ->
           t.snapshot <- None;
           Cloak.Vmm.phys_write t.vmm ppn ~off:0 cipher;
-          note t
-            (fun c -> c.Counters.adv_replays <- c.Counters.adv_replays + 1)
-            "replay: restored stale ciphertext over ppn %d" ppn
+          note t "replay: restored stale ciphertext over ppn %d" ppn
       | None -> (
           match t.cloaked_maps with
           | m :: _ ->
@@ -227,9 +215,7 @@ let attack_address t =
                 Cloak.Vmm.phys_read t.vmm m.ppn ~off:0 ~len:Addr.page_size
               in
               t.snapshot <- Some (m.ppn, cipher);
-              note t
-                (fun c -> c.Counters.adv_replays <- c.Counters.adv_replays + 1)
-                "replay: snapshotted ciphertext of ppn %d" m.ppn
+              note t "replay: snapshotted ciphertext of ppn %d" m.ppn
           | [] -> ()))
 
 (* --- scheduling attacks --- *)
@@ -239,18 +225,14 @@ let attack_sched t (env : Abi.env) (call : Abi.call) (v : Abi.value) =
   | 0 ->
       let stall = 50_000 + Oscrypto.Prng.int t.prng 50_000 in
       Cloak.Vmm.charge t.vmm stall;
-      note t
-        (fun c -> c.Counters.adv_sched <- c.Counters.adv_sched + 1)
-        "starved the vCPU for %d cycles mid-syscall" stall;
+      note t "starved the vCPU for %d cycles mid-syscall" stall;
       v
   | 1 -> (
       (* re-enter the shim while its marshal buffer is in flight; the
          shim's latch must refuse, which we observe and swallow *)
       match call with
       | Abi.Read _ | Abi.Write _ ->
-          note t
-            (fun c -> c.Counters.adv_sched <- c.Counters.adv_sched + 1)
-            "re-entering the shim mid-marshal";
+          note t "re-entering the shim mid-marshal";
           (try ignore (env.Abi.dispatch (Abi.Read { fd = -1; vaddr = 0; len = 1 }))
            with Oshim.Shim.Hostile_os _ -> audit t "shim latch refused the re-entry");
           v
@@ -259,9 +241,7 @@ let attack_sched t (env : Abi.env) (call : Abi.call) (v : Abi.value) =
       (* resource-starvation: pretend the device went away for this call *)
       match call with
       | Abi.Read _ | Abi.Write _ | Abi.Open _ | Abi.Sync ->
-          note t
-            (fun c -> c.Counters.adv_sched <- c.Counters.adv_sched + 1)
-            "EIO burst on a device syscall";
+          note t "EIO burst on a device syscall";
           Abi.Err Errno.EIO
       | _ -> v)
 

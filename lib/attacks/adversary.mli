@@ -43,5 +43,4 @@ val disarm : t -> Guest.Abi.env -> direct:(Guest.Abi.call -> Guest.Abi.value) ->
 (** Remove the interposition and the map observer, restoring [direct]. *)
 
 val executed : t -> int
-(** Attacks actually executed so far (also counted per class in the VMM's
-    [adv_*] counters and audited). *)
+(** Attacks actually executed so far (each one is also audited). *)

@@ -260,6 +260,7 @@ type sender = {
   mutable s_ready : bool;
   mutable s_commit_acked : bool;
   mutable s_abort_acked : bool;
+  mutable s_refused : int;  (* reverse frames that failed to decode *)
   mutable s_key_scrubbed : bool;
   mutable s_dropped : bool;
 }
@@ -283,11 +284,12 @@ let sender vmm ~session ?(chunk_size = default_chunk_size) ?(trace_id = 0) blob 
     s_chunk_size = chunk_size;
     s_nchunks = nchunks;
     s_digest = Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key blob);
-    s_acked = Array.make (max nchunks 1) false;
+    s_acked = Array.make nchunks false;
     s_offer_acked = false;
     s_ready = false;
     s_commit_acked = false;
     s_abort_acked = false;
+    s_refused = 0;
     s_key_scrubbed = false;
     s_dropped = false;
   }
@@ -347,9 +349,7 @@ let abort_wire s =
 let absorb_ack s wire =
   charge_check s.s_vmm (Bytes.length wire);
   match decode ~key:s.s_key ~session:s.s_session wire with
-  | Error _ ->
-      let c = Vmm.counters s.s_vmm in
-      c.mig_chunk_mac_failures <- c.mig_chunk_mac_failures + 1
+  | Error _ -> s.s_refused <- s.s_refused + 1
   | Ok (Ack seq) ->
       if seq = ack_offer then s.s_offer_acked <- true
       else if seq = ack_commit then s.s_commit_acked <- true
@@ -363,11 +363,10 @@ let offer_acked s = s.s_offer_acked
 let ready s = s.s_ready
 let commit_acked s = s.s_commit_acked
 let abort_acked s = s.s_abort_acked
+let refused_acks s = s.s_refused
 
 let outstanding s =
-  let n = ref 0 in
-  Array.iter (fun a -> if not a then incr n) s.s_acked;
-  if s.s_nchunks = 0 then 0 else !n
+  Array.fold_left (fun n acked -> if acked then n else n + 1) 0 s.s_acked
 
 (* --- receiver (destination VMM) --- *)
 
@@ -435,10 +434,6 @@ let receiver_key_scrubbed r = r.r_key_scrubbed
 
 let rejected r why =
   r.r_rejects <- why :: r.r_rejects;
-  if why = Bad_mac then begin
-    let c = Vmm.counters r.r_vmm in
-    c.mig_chunk_mac_failures <- c.mig_chunk_mac_failures + 1
-  end;
   []
 
 (* All chunks present: verify the end-to-end digest before exposing the
@@ -480,7 +475,7 @@ let deliver r wire =
         r.r_nchunks <- nchunks;
         r.r_blob_len <- blob_len;
         r.r_digest <- digest;
-        r.r_chunks <- Array.make (max nchunks 1) None;
+        r.r_chunks <- Array.make nchunks None;
         let a = ack ack_offer in
         if nchunks = 0 && r.r_blob = None then a :: assemble r else [ a ]
       end

@@ -20,11 +20,12 @@
       a whole session at either VMM dies in [Stale_checkpoint] at unseal
       ({!Seal.install} with [~consume:true] retires the generation).
 
-    The protocol (driven by {!Harness.Migrate}; this module is the pure
-    mechanism): OFFER → CHUNK* (retransmission rounds; receiver acks each
-    seq) → READY (receiver assembled and digest-verified) → source fences
-    itself ({!Vmm.retire_seal_generation}) → COMMIT → destination resumes.
-    ABORT at any pre-fence point leaves the source untouched. *)
+    The protocol (driven by [Guest.Migration.transfer]; this module is
+    the pure mechanism): OFFER → CHUNK* (retransmission rounds; receiver
+    acks each seq) → READY (receiver assembled and digest-verified) →
+    source fences itself ({!Vmm.retire_seal_generation}) → COMMIT →
+    destination resumes. ABORT at any pre-fence point leaves the source
+    untouched. *)
 
 (** Why the receiver refused a frame (or the assembled stream). A typed
     reject never installs anything: the fuzz property is that any mangled
@@ -121,7 +122,7 @@ val abort_wire : sender -> bytes
 
 val absorb_ack : sender -> bytes -> unit
 (** Process one reverse frame: marks chunks/controls acked, records
-    READY. A frame failing its MAC only bumps [mig_chunk_mac_failures] —
+    READY. A frame that fails to decode only bumps {!refused_acks} —
     retransmission covers the loss. *)
 
 val nchunks : sender -> int
@@ -130,6 +131,11 @@ val offer_acked : sender -> bool
 val ready : sender -> bool
 val commit_acked : sender -> bool
 val abort_acked : sender -> bool
+
+val refused_acks : sender -> int
+(** Reverse frames refused so far because they failed to decode (a
+    flipped or torn ack) — the sender's count beside the receiver's
+    {!rejects}. *)
 
 (** {2 Key lifecycle}
 

@@ -1053,8 +1053,6 @@ let sys_checkpoint t proc =
              unwinds like any power cut. *)
           sup.migration <- None;
           sup.migrations_attempted <- sup.migrations_attempted + 1;
-          let c = Cloak.Vmm.counters t.vmm in
-          c.mig_attempts <- c.mig_attempts + 1;
           let blob =
             match sup.checkpoint with Some b -> b | None -> assert false
           in
@@ -1063,7 +1061,6 @@ let sys_checkpoint t proc =
               (* graceful abort: nothing was staled; the syscall returns
                  normally and the process keeps running at the source *)
               sup.migrations_aborted <- sup.migrations_aborted + 1;
-              c.mig_aborts <- c.mig_aborts + 1;
               Done (Abi.Int gen)
           | Mig_commit ->
               (* the destination owns the process now. The migrated status
@@ -1071,7 +1068,6 @@ let sys_checkpoint t proc =
                  supervisor never respawns this incarnation — the source
                  scrubs and stays fenced. *)
               sup.migrations_completed <- sup.migrations_completed + 1;
-              c.mig_completed <- c.mig_completed + 1;
               Terminate migrated_exit_status))
 
 (* Auto-cadence: count completed syscalls and capture at the policy's

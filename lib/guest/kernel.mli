@@ -74,7 +74,7 @@ val run : t -> unit
 
     The kernel's half of live migration is just the drain hook and the
     adopt path; the transfer itself is {!Cloak.Migrate} driven by
-    [Harness.Migrate]. *)
+    {!Migration.transfer}, which a drain handler calls. *)
 
 type migration_decision = Mig_commit | Mig_abort
 

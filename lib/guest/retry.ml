@@ -1,6 +1,6 @@
 (* The one bounded retry-with-backoff policy shared by every transient-
    error path in the guest (page cache, swap, journal store) and by the
-   migration driver in the harness. See retry.mli. *)
+   migration driver (migration.ml). See retry.mli. *)
 
 open Machine
 

@@ -3,7 +3,7 @@
     the swap path each carried their own copy of this loop; keeping one
     implementation keeps the cycle-charging (and therefore the
     deterministic audit/cost story) identical everywhere. The migration
-    driver ({!Harness.Migrate}) reuses the same loop with a deadline and
+    driver ({!Migration.transfer}) reuses the same loop with a deadline and
     seeded jitter, so its per-chunk robustness story is this one tested
     policy rather than a private reimplementation. *)
 

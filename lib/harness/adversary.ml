@@ -132,6 +132,7 @@ type raw = {
   raw_audit : string list;
   raw_audit_dropped : int;
   raw_counters : Counters.t;
+  raw_attacks : int;  (* attacks the personality executed *)
 }
 
 let run_stack ~seed ~(w : workload) ~adversary =
@@ -164,6 +165,7 @@ let run_stack ~seed ~(w : workload) ~adversary =
     raw_audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
     raw_audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
     raw_counters = Cloak.Vmm.counters vmm;
+    raw_attacks = Option.fold ~none:0 ~some:Adv.executed adv;
   }
 
 (* --- per-class verdicts --- *)
@@ -228,7 +230,7 @@ let check_class ~ff_digest (raw : raw) cls =
   let c = raw.raw_counters in
   {
     cls;
-    attacks = c.Counters.adv_attacks;
+    attacks = raw.raw_attacks;
     lies_detected = c.Counters.hostile_lies_detected;
     refusals = c.Counters.hostile_refusals;
     outcome;

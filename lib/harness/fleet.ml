@@ -21,18 +21,12 @@ let antagonist = Migrate.antagonist
 let kconfig = Migrate.kconfig
 let policy = Migrate.policy
 
-let retry_limit = 8
-let deadline_disk_ops = 400
-
 let max_drain_attempts = 2
 (* aborted drain attempts per suspect host before the supervisor stops
    trying and leaves the process where it is *)
 
 let max_failover_attempts = 3
 (* transfer attempts when rescuing a dead host's last checkpoint *)
-
-exception Stalled
-(* a transfer round ended with the destination still not READY *)
 
 (* --- layer 1: the mechanism fleet ---
 
@@ -91,6 +85,7 @@ type fleet = {
   mutable crash_failovers : int;  (* committed post-crash rescues *)
   mutable downtimes : int list;   (* per committed failover, cycles *)
   mutable install_cycles : int;
+  mutable hb_timeouts : int;  (* heartbeats the network ate, fleet-wide *)
 }
 
 let tag_of pid = Cloak.Resource.tag (Cloak.Resource.Anon pid)
@@ -114,96 +109,17 @@ let next_seq fl tid =
       Hashtbl.replace fl.seqs tid (ref 0);
       0
 
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
-(* Drain the channel in both directions until neither side progresses. *)
-let pump fl rcv snd =
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    (match Cloak.Migrate.recv fl.ch with
-    | Some wire ->
-        progressed := true;
-        List.iter (Cloak.Migrate.reply fl.ch) (Cloak.Migrate.deliver rcv wire)
-    | None -> ());
-    match Cloak.Migrate.recv_reply fl.ch with
-    | Some wire ->
-        progressed := true;
-        Cloak.Migrate.absorb_ack snd wire
-    | None -> ()
-  done
-
-(* Retransmission rounds under the shared guest retry policy — the same
-   envelope as the point-to-point migration harness. *)
-let transfer fl ~src_vmm snd rcv =
-  let c = Cloak.Vmm.counters src_vmm in
-  let disk_op = (Cost.model (Cloak.Vmm.cost src_vmm)).Cost.disk_op in
-  Retry.with_backoff
-    ~deadline_cycles:(deadline_disk_ops * disk_op)
-    ~jitter:fl.jitter ~limit:retry_limit
-    ~retryable:(function Stalled -> true | _ -> false)
-    ~charge:(fun ~cycles ->
-      c.mig_retries <- c.mig_retries + 1;
-      Cloak.Vmm.charge src_vmm cycles)
-    ~base_cost:disk_op ~exhausted:Retry.Deadline_exceeded
-    (fun () ->
-      if not (Cloak.Migrate.offer_acked snd) then
-        Cloak.Migrate.send fl.ch (Cloak.Migrate.offer_wire snd);
-      List.iter (Cloak.Migrate.send fl.ch) (Cloak.Migrate.chunk_wires snd);
-      pump fl rcv snd;
-      if not (Cloak.Migrate.ready snd) then raise Stalled)
-
-(* Post-fence control frames are liveness-only; bounded retry, swallowed. *)
-let nudge fl ~src_vmm snd rcv ~wire ~done_ =
-  let disk_op = (Cost.model (Cloak.Vmm.cost src_vmm)).Cost.disk_op in
-  try
-    Retry.with_backoff ~jitter:fl.jitter ~limit:3
-      ~retryable:(function Stalled -> true | _ -> false)
-      ~charge:(fun ~cycles -> Cloak.Vmm.charge src_vmm cycles)
-      ~base_cost:disk_op ~exhausted:Stalled
-      (fun () ->
-        Cloak.Migrate.send fl.ch (wire ());
-        pump fl rcv snd;
-        if not (done_ ()) then raise Stalled)
-  with Stalled -> ()
-
-(* One authenticated transfer attempt src → dst. On READY: fence (retire
-   the source's seal generation — the split-brain point of no return),
-   COMMIT, scrub both session keys, return the destination's verified
-   blob paired with the request trace id the receiver learned from the
-   authenticated frames. On deadline: ABORT, scrub, None — nothing was
-   staled. *)
+(* One authenticated transfer attempt src → dst through the migration
+   driver. Committed: the destination's verified blob paired with the
+   request trace id the receiver learned from the authenticated frames.
+   Aborted: None — nothing was staled. *)
 let attempt_transfer fl ~src ~dst ~tag ~session ~trace_id blob =
   let src_vmm = fl.hosts.(src).vmm in
   let snd = Cloak.Migrate.sender src_vmm ~session ~trace_id blob in
   let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
-  let teardown () =
-    Cloak.Migrate.close_sender snd;
-    Cloak.Migrate.close_receiver rcv
-  in
-  match transfer fl ~src_vmm snd rcv with
-  | () ->
-      let gen = Cloak.Vmm.seal_generation src_vmm ~tag in
-      Cloak.Vmm.retire_seal_generation src_vmm ~tag ~gen;
-      nudge fl ~src_vmm snd rcv
-        ~wire:(fun () -> Cloak.Migrate.commit_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.commit_acked snd);
-      let out =
-        Option.map
-          (fun b -> (b, Cloak.Migrate.trace_id rcv))
-          (Cloak.Migrate.blob rcv)
-      in
-      teardown ();
-      out
-  | exception Retry.Deadline_exceeded ->
-      nudge fl ~src_vmm snd rcv
-        ~wire:(fun () -> Cloak.Migrate.abort_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.abort_acked snd);
-      teardown ();
-      None
+  if (Migration.transfer fl.ch ~jitter:fl.jitter ~src:src_vmm ~tag snd rcv).committed
+  then Option.map (fun b -> (b, Cloak.Migrate.trace_id rcv)) (Cloak.Migrate.blob rcv)
+  else None
 
 (* A failover destination must not be running yet (hosts execute
    sequentially, so a later host can still adopt before it spawns), must
@@ -238,7 +154,6 @@ let choose_target fl ~src ~travelling_pid =
    faults feed the balancer's error term. A host whose suspicion crosses
    the threshold gets its cloaked process drained onto a healthy peer. *)
 let rec hook fl h blob =
-  let c0 = Cloak.Vmm.counters (coordinator fl) in
   (match Inject.fire fl.engine Inject.Host_power with
   | Some Inject.Crash_point -> Inject.crashed Inject.Host_power
   | Some _ | None -> ());
@@ -247,7 +162,7 @@ let rec hook fl h blob =
   (match Inject.fire fl.engine Inject.Hb_send with
   | Some _ ->
       Cloak.Balancer.missed_heartbeat fl.bal h.idx;
-      c0.fleet_hb_timeouts <- c0.fleet_hb_timeouts + 1;
+      fl.hb_timeouts <- fl.hb_timeouts + 1;
       Telemetry.incr tel ~host:h.idx ~at:now "hb-miss"
   | None ->
       Cloak.Balancer.heartbeat fl.bal h.idx ~now;
@@ -289,8 +204,6 @@ let rec hook fl h blob =
             ~trace_id:h.tid blob
         in
         let dt = Cost.cycles (Cloak.Vmm.cost h.vmm) - t0 in
-        let ch = Cloak.Vmm.counters h.vmm in
-        ch.mig_downtime_cycles <- ch.mig_downtime_cycles + dt;
         Trace.span_exit h.htrace ~ctx:Trace.Vmm ~site:(tag_of h.pid)
           Trace.Migration;
         (match outcome with
@@ -306,7 +219,6 @@ let rec hook fl h blob =
               :: fl.records;
             fl.drains <- fl.drains + 1;
             fl.downtimes <- dt :: fl.downtimes;
-            c0.fleet_failovers <- c0.fleet_failovers + 1;
             Cloak.Balancer.mark_drained fl.bal h.idx ~now:h.drain_at;
             Kernel.Mig_commit
         | None ->
@@ -325,7 +237,6 @@ let rec hook fl h blob =
    degraded, never duplicated. Processes the host had itself adopted die
    with it. *)
 let crash_failover fl h =
-  let c0 = Cloak.Vmm.counters (coordinator fl) in
   h.died <- true;
   h.death_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
   Cloak.Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
@@ -368,8 +279,7 @@ let crash_failover fl h =
                       fo_blob = dblob }
                     :: fl.records;
                   fl.crash_failovers <- fl.crash_failovers + 1;
-                  fl.downtimes <- dt :: fl.downtimes;
-                  c0.fleet_failovers <- c0.fleet_failovers + 1
+                  fl.downtimes <- dt :: fl.downtimes
               | None -> ())
         done;
         if not !committed then fl.lost <- fl.lost + 1
@@ -693,6 +603,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       crash_failovers = 0;
       downtimes = [];
       install_cycles = 0;
+      hb_timeouts = 0;
     }
   in
   let errors = ref [] in
@@ -771,13 +682,13 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       (fun r ->
         (match Cloak.Seal.unseal fl.hosts.(r.fo_src).vmm r.fo_blob with
         | _ -> incr double_resumes
-        | exception e when is_stale e -> ());
+        | exception e when Migration.is_stale e -> ());
         match
           Kernel.adopt_migrated fl.hosts.(r.fo_dst).k ~policy ~prog:service
             r.fo_blob
         with
         | _ -> incr double_resumes
-        | exception e when is_stale e -> ())
+        | exception e when Migration.is_stale e -> ())
       fl.records;
   let wire = Cloak.Migrate.wire_log fl.ch in
   let leaks =
@@ -828,8 +739,6 @@ let run_once ?(telemetry = true) ~plan ~seed () =
   in
   let sup = simulate ~seed ~mean_gap ~supervised:true ~telemetry tl in
   let unsup = simulate ~seed ~mean_gap ~supervised:false ~telemetry tl in
-  let c0 = Cloak.Vmm.counters (coordinator fl) in
-  c0.fleet_sheds <- c0.fleet_sheds + sheds_total sup;
   let deaths =
     Array.fold_left (fun a h -> if h.died then a + 1 else a) 0 hosts
   in
@@ -876,7 +785,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     r_drains = fl.drains;
     r_failovers = fl.drains + fl.crash_failovers;
     r_lost = fl.lost;
-    r_hb_timeouts = c0.fleet_hb_timeouts;
+    r_hb_timeouts = fl.hb_timeouts;
     r_double_resumes = !double_resumes;
     r_downtimes = List.rev fl.downtimes;
     r_install_cycles = fl.install_cycles;

@@ -83,16 +83,11 @@ let antagonist (env : Abi.env) =
 let kconfig = Soak.kconfig
 let policy = Soak.policy
 
-(* --- driver tunables --- *)
+(* --- attempt budget and downtime bounds --- *)
 
 let max_attempts = 3
-let retry_limit = 8
-let deadline_disk_ops = 400
 let downtime_bound = 20_000_000
 let abort_downtime_bound = 64_000_000
-
-exception Stalled
-(* a transfer round ended with the destination still not READY *)
 
 (* --- the two stacks and the wire between them --- *)
 
@@ -113,77 +108,20 @@ type stack = {
   mutable breaker : bool;  (** gave up migrating after [max_attempts] *)
   mutable downtime : int;  (** drain windows + destination install cycles *)
   mutable blob : bytes option;  (** last drained checkpoint *)
-  mutable gen : int;  (** its seal generation (fence target) *)
+  mutable gen : int;  (** its seal generation: fenced once retired past it *)
   mutable session : string;  (** last attempt's session id *)
   mutable receivers : Cloak.Migrate.receiver list;  (** newest first *)
+  mutable retries : int;  (** summed over the driver's sessions *)
+  mutable mac_failures : int;  (** likewise; the post-run probes add none *)
 }
 
 let tag_of st = Cloak.Resource.tag (Cloak.Resource.Anon st.pid)
 
-(* Drain the channel in both directions until neither side makes
-   progress (undelivered frames may still be delayed in flight). *)
-let pump st rcv snd =
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    (match Cloak.Migrate.recv st.ch with
-    | Some wire ->
-        progressed := true;
-        List.iter (Cloak.Migrate.reply st.ch) (Cloak.Migrate.deliver rcv wire)
-    | None -> ());
-    match Cloak.Migrate.recv_reply st.ch with
-    | Some wire ->
-        progressed := true;
-        Cloak.Migrate.absorb_ack snd wire
-    | None -> ()
-  done
-
-(* Retransmission rounds under the shared guest retry policy: each round
-   re-offers if unacked, resends every unacked chunk and pumps. The
-   deadline is the end-to-end migration timeout — jittered exponential
-   backoff between rounds, [Retry.Deadline_exceeded] either on the cycle
-   budget or the round limit. *)
-let transfer_rounds st snd rcv =
-  let c = Cloak.Vmm.counters st.src_vmm in
-  let disk_op = (Cost.model (Cloak.Vmm.cost st.src_vmm)).Cost.disk_op in
-  Retry.with_backoff
-    ~deadline_cycles:(deadline_disk_ops * disk_op)
-    ~jitter:st.jitter ~limit:retry_limit
-    ~retryable:(function Stalled -> true | _ -> false)
-    ~charge:(fun ~cycles ->
-      c.mig_retries <- c.mig_retries + 1;
-      Cloak.Vmm.charge st.src_vmm cycles)
-    ~base_cost:disk_op ~exhausted:Retry.Deadline_exceeded
-    (fun () ->
-      if not (Cloak.Migrate.offer_acked snd) then
-        Cloak.Migrate.send st.ch (Cloak.Migrate.offer_wire snd);
-      List.iter (Cloak.Migrate.send st.ch) (Cloak.Migrate.chunk_wires snd);
-      pump st rcv snd;
-      if not (Cloak.Migrate.ready snd) then raise Stalled)
-
-(* Post-fence control frames are liveness-only: the destination already
-   holds the verified blob, so losing the COMMIT (or an ABORT's ack)
-   forever must not wedge the source. Bounded retry, exhaustion
-   swallowed. *)
-let nudge st snd rcv ~wire ~done_ =
-  let disk_op = (Cost.model (Cloak.Vmm.cost st.src_vmm)).Cost.disk_op in
-  try
-    Retry.with_backoff ~jitter:st.jitter ~limit:3
-      ~retryable:(function Stalled -> true | _ -> false)
-      ~charge:(fun ~cycles -> Cloak.Vmm.charge st.src_vmm cycles)
-      ~base_cost:disk_op ~exhausted:Stalled
-      (fun () ->
-        Cloak.Migrate.send st.ch (wire ());
-        pump st rcv snd;
-        if not (done_ ()) then raise Stalled)
-  with Stalled -> ()
-
 (* The drain handler: runs inside the source kernel's checkpoint syscall
-   with the process stopped. Commit path: transfer → fence (the point of
-   no return: retire the source's seal generation, journal-anchored) →
-   COMMIT → Mig_commit. Abort path: ABORT the session, re-arm for the
-   next quiesce point until the attempt budget breaks the circuit, and
-   resume at the source — nothing was staled. *)
+   with the process stopped, and hands one session to the driver. Commit:
+   the driver fenced the source, so the kernel retires this incarnation.
+   Abort: re-arm for the next quiesce point until the attempt budget
+   breaks the circuit, and resume at the source — nothing was staled. *)
 let rec handler st blob =
   st.attempts <- st.attempts + 1;
   let t0 = Cost.cycles (Cloak.Vmm.cost st.src_vmm) in
@@ -194,38 +132,25 @@ let rec handler st blob =
   let snd = Cloak.Migrate.sender st.src_vmm ~session:st.session blob in
   let rcv = Cloak.Migrate.receiver st.dst_vmm ~session:st.session in
   st.receivers <- rcv :: st.receivers;
-  let finish decision =
-    let dt = Cost.cycles (Cloak.Vmm.cost st.src_vmm) - t0 in
-    st.downtime <- st.downtime + dt;
-    let c = Cloak.Vmm.counters st.src_vmm in
-    c.mig_downtime_cycles <- c.mig_downtime_cycles + dt;
-    Trace.span_exit st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
-    decision
+  let o =
+    Migration.transfer st.ch ~jitter:st.jitter ~src:st.src_vmm ~tag:(tag_of st) snd rcv
   in
-  (* Either way the session is over once the final nudge lands: scrub
-     both endpoints' copies of the session key and drop them, so the
-     flight recorder's scrub-before-free pass covers the key material. *)
-  let teardown () =
-    Cloak.Migrate.close_sender snd;
-    Cloak.Migrate.close_receiver rcv
-  in
-  match transfer_rounds st snd rcv with
-  | () ->
-      Cloak.Vmm.retire_seal_generation st.src_vmm ~tag:(tag_of st) ~gen:st.gen;
+  st.retries <- st.retries + o.retries;
+  st.mac_failures <- st.mac_failures + o.mac_failures;
+  let decision =
+    if o.committed then begin
       st.committed <- true;
-      nudge st snd rcv
-        ~wire:(fun () -> Cloak.Migrate.commit_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.commit_acked snd);
-      teardown ();
-      finish Kernel.Mig_commit
-  | exception Retry.Deadline_exceeded ->
-      nudge st snd rcv
-        ~wire:(fun () -> Cloak.Migrate.abort_wire snd)
-        ~done_:(fun () -> Cloak.Migrate.abort_acked snd);
-      teardown ();
+      Kernel.Mig_commit
+    end
+    else begin
       if st.attempts >= max_attempts then st.breaker <- true
       else Kernel.request_migration st.src_k ~pid:st.pid (handler st);
-      finish Kernel.Mig_abort
+      Kernel.Mig_abort
+    end
+  in
+  st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost st.src_vmm) - t0);
+  Trace.span_exit st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
+  decision
 
 (* --- one migration scenario --- *)
 
@@ -258,11 +183,6 @@ let units_of k =
   | Ok ino -> Fs.size (Kernel.fs k) ino
   | Error _ -> 0
 
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
 let run_once ~plan ~seed =
   let engine = Inject.create plan in
   (* both VMMs share the fleet master secret: same seed *)
@@ -281,6 +201,7 @@ let run_once ~plan ~seed =
       jitter = Oscrypto.Prng.create ~seed:(seed lxor 0x11771);
       seed; pid; attempts = 0; committed = false; breaker = false;
       downtime = 0; blob = None; gen = 0; session = ""; receivers = [];
+      retries = 0; mac_failures = 0;
     }
   in
   Kernel.request_migration src_k ~pid (handler st);
@@ -304,10 +225,7 @@ let run_once ~plan ~seed =
              let t0 = Cost.cycles (Cloak.Vmm.cost dst_vmm) in
              match Kernel.adopt_migrated dst_k ~policy ~prog:service blob with
              | _pid ->
-                 let dt = Cost.cycles (Cloak.Vmm.cost dst_vmm) - t0 in
-                 st.downtime <- st.downtime + dt;
-                 let c = Cloak.Vmm.counters src_vmm in
-                 c.mig_downtime_cycles <- c.mig_downtime_cycles + dt;
+                 st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost dst_vmm) - t0);
                  ignore (Kernel.spawn dst_k antagonist);
                  (try Kernel.run dst_k
                   with e -> probe ("destination run: " ^ Printexc.to_string e))
@@ -317,7 +235,6 @@ let run_once ~plan ~seed =
      to the audit trail *)
   let audit = Inject.Audit.lines (Cloak.Vmm.audit src_vmm) in
   let audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit src_vmm) in
-  let cs = Cloak.Vmm.counters src_vmm and cd = Cloak.Vmm.counters dst_vmm in
   let wire = Cloak.Migrate.wire_log ch in
   let leaks =
     Soak.scan_leaks src_vmm src_k
@@ -337,11 +254,11 @@ let run_once ~plan ~seed =
      (* double-resume at the source: the fence retired the generation *)
      (match Cloak.Seal.unseal src_vmm blob with
      | _ -> probe "source re-unsealed the migrated blob (fence leaked)"
-     | exception e when is_stale e -> ());
+     | exception e when Migration.is_stale e -> ());
      (* double-delivery at the destination: install consumed it *)
      (match Kernel.adopt_migrated dst_k ~policy ~prog:service blob with
      | _ -> probe "destination re-adopted the migrated blob"
-     | exception e when is_stale e -> ());
+     | exception e when Migration.is_stale e -> ());
      (* replaying every frame the OS recorded can at best rebuild the
         same bytes — and those are stale everywhere now *)
      let replayed = Cloak.Migrate.receiver dst_vmm ~session:st.session in
@@ -369,7 +286,7 @@ let run_once ~plan ~seed =
   {
     seed;
     committed = st.committed;
-    attempts = cs.mig_attempts;
+    attempts = st.attempts;
     breaker = st.breaker;
     downtime = st.downtime;
     src_units = units_of src_k;
@@ -378,8 +295,8 @@ let run_once ~plan ~seed =
     dst_status = Kernel.exit_status dst_k ~pid;
     wire_frames = List.length wire;
     wire_bytes = List.fold_left (fun a w -> a + Bytes.length w) 0 wire;
-    retries = cs.mig_retries;
-    mac_failures = cs.mig_chunk_mac_failures + cd.mig_chunk_mac_failures;
+    retries = st.retries;
+    mac_failures = st.mac_failures;
     leaks;
     audit;
     audit_dropped;
@@ -517,7 +434,9 @@ let run_seed ~seed =
       | None -> fail (name ^ ": supervision stats vanished")
       | Some s ->
           if s.Kernel.sup_migrations_attempted <> r.attempts then
-            fail (name ^ ": supervision attempt count diverges from driver");
+            fail
+              (Printf.sprintf "%s: kernel drained %d times, driver ran %d attempts"
+                 name s.Kernel.sup_migrations_attempted r.attempts);
           if r.committed && s.Kernel.sup_migrations_completed <> 1 then
             fail (name ^ ": supervision completed count diverges from driver"))
     [ ("clean", clean); ("hostile", h1); ("blackhole", bh) ];
@@ -618,7 +537,7 @@ let run_crash_point ~seed (p : Crash.point) =
                   (* never run two incarnations *)
                   match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
                   | _ -> fail "blob adopted twice after a crash"
-                  | exception e when is_stale e -> ())
+                  | exception e when Migration.is_stale e -> ())
               | exception e ->
                   fail ("fenced blob refused: " ^ Printexc.to_string e))
         end
@@ -643,17 +562,19 @@ let run_crash_point ~seed (p : Crash.point) =
 type crash_report = {
   crash_points : int;
   crash_fenced : int;
+  crash_sites : Inject.site list;
   matrix_failures : (string * string) list;
 }
 
 let run_crash_matrix ~seeds =
-  let points = ref 0 and fenced = ref 0 and fails = ref [] in
+  let points = ref 0 and fenced = ref 0 and sites = ref [] and fails = ref [] in
   List.iter
     (fun seed ->
       let occs = calibrate ~seed in
       List.iter
         (fun (p : Crash.point) ->
           incr points;
+          if not (List.mem p.Crash.site !sites) then sites := p.Crash.site :: !sites;
           let o = run_crash_point ~seed p in
           if o.fenced then incr fenced;
           List.iter
@@ -670,6 +591,7 @@ let run_crash_matrix ~seeds =
   {
     crash_points = !points;
     crash_fenced = !fenced;
+    crash_sites = List.filter (fun s -> List.mem s !sites) mig_sites;
     matrix_failures = List.rev !fails;
   }
 
@@ -705,7 +627,8 @@ let held =
 (* The channel crash matrix runs over the sweep's first seeds. *)
 let crash_seeds = 3
 
-(* Beyond the per-seed invariants: the crash matrix holds, the hostile
+(* Beyond the per-seed invariants: the crash matrix holds, cuts power at
+   every channel site and at least once after the fence, the hostile
    plans actually cost the protocol retries or MAC rejects, and committed
    runs populated the downtime percentiles. *)
 let summary (reports : seed_report list) =
@@ -755,6 +678,14 @@ let summary (reports : seed_report list) =
         ("crash_fenced", Report.Int c.crash_fenced) ];
     failures =
       List.map (fun (point, what) -> point ^ ": " ^ what) c.matrix_failures
+      @ List.filter_map
+          (fun site ->
+            if List.mem site c.crash_sites then None
+            else
+              Some ("crash matrix: no crash point on " ^ Inject.site_to_string site))
+          mig_sites
+      @ (if c.crash_fenced > 0 then []
+         else [ "crash matrix: no crash point landed after the fence" ])
       @ (if retries + macs > 0 then []
          else [ "the hostile plans cost no retries and no MAC rejects" ])
       @ if p50 > 0 && p95 >= p50 then [] else [ "downtime percentiles not populated" ];

@@ -38,8 +38,8 @@ val kconfig : Guest.Kernel.config
 val policy : Guest.Kernel.restart_policy
 
 val max_attempts : int
-(** Migration attempts before the driver's circuit breaker gives up and
-    leaves the process at the source for good. *)
+(** Migration attempts before the drain handler's circuit breaker gives
+    up and leaves the process at the source for good. *)
 
 val downtime_bound : int
 (** Acceptance ceiling on a committed run's downtime, in model cycles. *)
@@ -69,7 +69,10 @@ type seed_report = {
   completed : int;
   aborts : int;
   retries : int;  (** transfer-round retries under the shared backoff *)
-  mac_failures : int;  (** frames rejected for a bad MAC, both ends *)
+  mac_failures : int;
+      (** frames the migration sessions refused for a bad MAC, both ends
+          ({!Guest.Migration.outcome}); the post-run tamper and replay
+          probes are not counted *)
   downtime_cycles : int;
   breaker_trips : int;  (** runs that exhausted the attempt budget *)
   wire_frames : int;
@@ -101,6 +104,7 @@ val run_crash_point : seed:int -> Crash.point -> crash_outcome
 type crash_report = {
   crash_points : int;
   crash_fenced : int;
+  crash_sites : Inject.site list;  (** [Mig_*] sites that got a crash point *)
   matrix_failures : (string * string) list;  (** (point, failure) *)
 }
 
@@ -116,7 +120,8 @@ val run_crash_matrix : seeds:int list -> crash_report
     commit/abort split, retries, MAC rejects, breaker trips, downtime
     percentiles and wire frames, plus the channel crash matrix over the
     first 3 sweep seeds. Sweep-level failures: any crash-matrix failure,
-    hostile plans that cost neither a retry nor a MAC reject, or
+    a [Mig_*] site without a crash point, no crash point after the
+    fence, hostile plans that cost neither a retry nor a MAC reject, or
     unpopulated downtime percentiles. *)
 
 include Sweep.S with type seed_report := seed_report

@@ -25,21 +25,6 @@ type t = {
   mutable seal_restores : int;
   mutable restarts : int;
   mutable circuit_breaks : int;
-  mutable mig_attempts : int;
-  mutable mig_completed : int;
-  mutable mig_aborts : int;
-  mutable mig_retries : int;
-  mutable mig_chunk_mac_failures : int;
-  mutable mig_downtime_cycles : int;
-  mutable fleet_failovers : int;
-  mutable fleet_sheds : int;
-  mutable fleet_hb_timeouts : int;
-  mutable adv_attacks : int;
-  mutable adv_lies : int;
-  mutable adv_remaps : int;
-  mutable adv_replays : int;
-  mutable adv_identity : int;
-  mutable adv_sched : int;
   mutable hostile_lies_detected : int;
   mutable hostile_refusals : int;
 }
@@ -72,21 +57,6 @@ let create () =
     seal_restores = 0;
     restarts = 0;
     circuit_breaks = 0;
-    mig_attempts = 0;
-    mig_completed = 0;
-    mig_aborts = 0;
-    mig_retries = 0;
-    mig_chunk_mac_failures = 0;
-    mig_downtime_cycles = 0;
-    fleet_failovers = 0;
-    fleet_sheds = 0;
-    fleet_hb_timeouts = 0;
-    adv_attacks = 0;
-    adv_lies = 0;
-    adv_remaps = 0;
-    adv_replays = 0;
-    adv_identity = 0;
-    adv_sched = 0;
     hostile_lies_detected = 0;
     hostile_refusals = 0;
   }
@@ -124,29 +94,6 @@ let fields : (string * (t -> int) * (t -> int -> unit)) list =
     ("seal_restores", (fun t -> t.seal_restores), fun t v -> t.seal_restores <- v);
     ("restarts", (fun t -> t.restarts), fun t v -> t.restarts <- v);
     ("circuit_breaks", (fun t -> t.circuit_breaks), fun t v -> t.circuit_breaks <- v);
-    ("mig_attempts", (fun t -> t.mig_attempts), fun t v -> t.mig_attempts <- v);
-    ("mig_completed", (fun t -> t.mig_completed), fun t v -> t.mig_completed <- v);
-    ("mig_aborts", (fun t -> t.mig_aborts), fun t v -> t.mig_aborts <- v);
-    ("mig_retries", (fun t -> t.mig_retries), fun t v -> t.mig_retries <- v);
-    ( "mig_chunk_mac_failures",
-      (fun t -> t.mig_chunk_mac_failures),
-      fun t v -> t.mig_chunk_mac_failures <- v );
-    ( "mig_downtime_cycles",
-      (fun t -> t.mig_downtime_cycles),
-      fun t v -> t.mig_downtime_cycles <- v );
-    ( "fleet_failovers",
-      (fun t -> t.fleet_failovers),
-      fun t v -> t.fleet_failovers <- v );
-    ("fleet_sheds", (fun t -> t.fleet_sheds), fun t v -> t.fleet_sheds <- v);
-    ( "fleet_hb_timeouts",
-      (fun t -> t.fleet_hb_timeouts),
-      fun t v -> t.fleet_hb_timeouts <- v );
-    ("adv_attacks", (fun t -> t.adv_attacks), fun t v -> t.adv_attacks <- v);
-    ("adv_lies", (fun t -> t.adv_lies), fun t v -> t.adv_lies <- v);
-    ("adv_remaps", (fun t -> t.adv_remaps), fun t v -> t.adv_remaps <- v);
-    ("adv_replays", (fun t -> t.adv_replays), fun t v -> t.adv_replays <- v);
-    ("adv_identity", (fun t -> t.adv_identity), fun t v -> t.adv_identity <- v);
-    ("adv_sched", (fun t -> t.adv_sched), fun t v -> t.adv_sched <- v);
     ( "hostile_lies_detected",
       (fun t -> t.hostile_lies_detected),
       fun t v -> t.hostile_lies_detected <- v );
@@ -171,12 +118,11 @@ let diff ~after ~before =
   d
 
 let to_assoc t = List.map (fun (name, get, _) -> (name, get t)) fields
-let rows = to_assoc
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun (name, value) ->
       if value <> 0 then Format.fprintf ppf "%-18s %d@," name value)
-    (rows t);
+    (to_assoc t);
   Format.fprintf ppf "@]"

@@ -1,5 +1,17 @@
-(** Event counters used for the overhead-decomposition experiments (E4).
-    Each field counts one class of event in the simulated stack. *)
+(** Per-VMM event counters of the simulated machine, the cloaking engine
+    and the guest below it, used for the overhead decomposition (E4) and
+    the regress gate. Each field counts one class of event: memory
+    management and TLB, VMM crossings, page crypto, disk and scheduler
+    activity, security violations and their containment, device retries,
+    sealed checkpoints and supervised restarts, and the shim's
+    paraverification verdicts ([hostile_*], bumped by every shim instance
+    on its VMM).
+
+    Events of the layers above live with their owners, not here: the
+    migration driver returns its own retries and MAC rejects
+    ([Guest.Migration.outcome]), the kernel counts migration attempts per
+    supervised pid, the fleet harness counts its heartbeat timeouts and
+    an adversary personality counts the attacks it executed. *)
 
 type t = {
   mutable tlb_hits : int;
@@ -28,21 +40,6 @@ type t = {
   mutable seal_restores : int;
   mutable restarts : int;
   mutable circuit_breaks : int;
-  mutable mig_attempts : int;
-  mutable mig_completed : int;
-  mutable mig_aborts : int;
-  mutable mig_retries : int;
-  mutable mig_chunk_mac_failures : int;
-  mutable mig_downtime_cycles : int;
-  mutable fleet_failovers : int;
-  mutable fleet_sheds : int;
-  mutable fleet_hb_timeouts : int;
-  mutable adv_attacks : int;
-  mutable adv_lies : int;
-  mutable adv_remaps : int;
-  mutable adv_replays : int;
-  mutable adv_identity : int;
-  mutable adv_sched : int;
   mutable hostile_lies_detected : int;
   mutable hostile_refusals : int;
 }
@@ -68,6 +65,3 @@ val to_assoc : t -> (string * int) list
 (** Counter name/value pairs in field-table order. *)
 
 val pp : Format.formatter -> t -> unit
-
-val rows : t -> (string * int) list
-(** Alias of {!to_assoc} (historical name). *)

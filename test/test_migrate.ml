@@ -11,11 +11,6 @@ let policy = Harness.Migrate.policy
 
 let fresh_vmm () = Cloak.Vmm.create ~config:vconfig ()
 
-let is_stale = function
-  | Cloak.Violation.Security_fault { kind = Cloak.Violation.Stale_checkpoint; _ } ->
-      true
-  | _ -> false
-
 (* --- the frame codec --- *)
 
 let frames_equal a b =
@@ -75,6 +70,21 @@ let test_codec_rejects () =
   match Cloak.Migrate.decode ~key ~session:"codec-2" other with
   | Error (Cloak.Migrate.Bad_mac | Cloak.Migrate.Wrong_session) -> ()
   | _ -> Alcotest.fail "cross-session frame accepted"
+
+(* An empty blob has no chunks, so the OFFER alone must assemble and
+   verify it: the receiver answers the offer's ack and READY together. *)
+let test_empty_blob () =
+  let vmm = fresh_vmm () in
+  let session = "empty" in
+  let snd = Cloak.Migrate.sender vmm ~session Bytes.empty in
+  let rcv = Cloak.Migrate.receiver vmm ~session in
+  List.iter (Cloak.Migrate.absorb_ack snd)
+    (Cloak.Migrate.deliver rcv (Cloak.Migrate.offer_wire snd));
+  Alcotest.(check int) "no chunks to send" 0 (Cloak.Migrate.outstanding snd);
+  Alcotest.(check bool) "offer acked" true (Cloak.Migrate.offer_acked snd);
+  Alcotest.(check bool) "the offer alone yields READY" true (Cloak.Migrate.ready snd);
+  Alcotest.(check (option bytes)) "empty blob assembled" (Some Bytes.empty)
+    (Cloak.Migrate.blob rcv)
 
 (* --- chunk-stream fuzzing ---
 
@@ -274,14 +284,14 @@ let test_drain_adopt_cross_vmm () =
   (* single-use: the destination consumed the generation at install *)
   (match Kernel.adopt_migrated kb ~policy ~prog:Harness.Migrate.service blob with
   | _ -> Alcotest.fail "blob adopted twice at the destination"
-  | exception e when is_stale e -> ());
+  | exception e when Migration.is_stale e -> ());
   (* the fence: once A retires the generation, A refuses the blob too *)
   let tag = Cloak.Resource.tag (Cloak.Resource.Anon pid) in
   let gen = Cloak.Vmm.seal_generation vmm_a ~tag in
   Cloak.Vmm.retire_seal_generation vmm_a ~tag ~gen;
   match Cloak.Seal.unseal vmm_a blob with
   | _ -> Alcotest.fail "source unsealed the blob after the fence"
-  | exception e when is_stale e -> ()
+  | exception e when Migration.is_stale e -> ()
 
 let test_drain_abort_resumes_source () =
   let vmm = fresh_vmm () in
@@ -333,13 +343,16 @@ let test_adopt_tampered_blob_refused () =
 
 (* 3 seeds of `make migrate`'s sweep through the sweep runner: every
    per-seed invariant, the channel crash matrix over those seeds, and the
-   sweep-level bars (retries or MAC rejects, populated downtime
-   percentiles); `make migrate` runs the same contract over 20 seeds. *)
+   sweep-level bars (a crash point on every channel site and one after
+   the fence, retries or MAC rejects, populated downtime percentiles);
+   `make migrate` runs the same contract over 20 seeds. *)
 let test_migration_sweep () =
   Alcotest.(check int) "3-seed migration sweep exits 0" 0
     (Harness.Sweep.run (module Harness.Migrate) ~seeds:3 ~base:1 ~verbose:false
        ~bench_out:None)
 
+(* The same crash matrix on seeds the sweep does not draw, checked
+   directly rather than through the sweep's failure list. *)
 let test_crash_matrix () =
   let c = Harness.Migrate.run_crash_matrix ~seeds:[ 101; 102; 103 ] in
   (match c.Harness.Migrate.matrix_failures with
@@ -350,6 +363,8 @@ let test_crash_matrix () =
         point what);
   Alcotest.(check bool) "crash points covered every channel site" true
     (c.Harness.Migrate.crash_points >= 9);
+  Alcotest.(check int) "every Mig_* site got a crash point" 3
+    (List.length c.Harness.Migrate.crash_sites);
   Alcotest.(check bool) "some crashes landed after the fence" true
     (c.Harness.Migrate.crash_fenced > 0)
 
@@ -361,6 +376,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_codec_roundtrip;
           Alcotest.test_case "flip/truncate/cross-session rejected" `Quick
             test_codec_rejects;
+          Alcotest.test_case "empty blob assembles from the offer alone" `Quick
+            test_empty_blob;
         ] );
       ( "fuzz",
         [ QCheck_alcotest.to_alcotest prop_mangled_stream_identical_or_refused ] );

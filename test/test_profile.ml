@@ -158,24 +158,24 @@ let test_diff_aligns_below_root () =
 
 (* --- the regression sentinel --- *)
 
+(* One baseline run shared by the three sentinel tests: the suite is the
+   slowest thing in this file, and each test needs at most one more run. *)
+let baseline_metrics = lazy (Regress.suite ())
+
+let baseline () =
+  List.map
+    (fun (m : Regress.metric) -> (m.Regress.name, m.Regress.value))
+    (Lazy.force baseline_metrics)
+
 let test_regress_green_on_rerun () =
-  let metrics = Regress.suite () in
-  let baseline =
-    List.map (fun (m : Regress.metric) -> (m.Regress.name, m.Regress.value)) metrics
-  in
   let o =
     Regress.compare_metrics ~tolerance_pct:Regress.default_tolerance_pct
-      ~baseline (Regress.suite ())
+      ~baseline:(baseline ()) (Regress.suite ())
   in
   Alcotest.(check bool) "identical re-run passes" true (Regress.ok o);
   Alcotest.(check (list string)) "no failure lines" [] (Regress.failures o)
 
 let test_regress_catches_cost_bump () =
-  let baseline =
-    List.map
-      (fun (m : Regress.metric) -> (m.Regress.name, m.Regress.value))
-      (Regress.suite ())
-  in
   let bumped =
     { Machine.Cost.default with
       Machine.Cost.world_switch =
@@ -183,7 +183,7 @@ let test_regress_catches_cost_bump () =
   in
   let o =
     Regress.compare_metrics ~tolerance_pct:Regress.default_tolerance_pct
-      ~baseline
+      ~baseline:(baseline ())
       (Regress.suite ~cost_model:bumped ())
   in
   Alcotest.(check bool) "a 5% world-switch bump fails the gate" false
@@ -199,7 +199,7 @@ let test_regress_catches_cost_bump () =
        (Regress.failures o))
 
 let test_baselines_round_trip () =
-  let metrics = Regress.suite () in
+  let metrics = Lazy.force baseline_metrics in
   let path = Filename.temp_file "baselines" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
