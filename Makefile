@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci clean
+.PHONY: all build test chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci bench-check clean
 
 all: build
 
@@ -67,6 +67,20 @@ regress-update: build
 	$(DUNE) exec bin/overshadow_cli.exe -- regress --update-baselines
 
 ci: test chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile
+
+# Diff every BENCH_*.json against its committed copy, ignoring the
+# host-clock keys; exits 1 on any other difference or on a BENCH file
+# that is not committed. Run it after `make ci`. It is not part of `ci`
+# because it compares against HEAD.
+HOST_CLOCK = "(wall_s|replay_total_s|replay_mean_ms)":
+bench-check:
+	@head=$$(mktemp); status=0; \
+	for f in BENCH_*.json; do \
+	  if ! git cat-file -e HEAD:$$f 2>/dev/null; then \
+	    echo "$$f: not committed"; status=1; continue; fi; \
+	  git show HEAD:$$f | grep -Ev '$(HOST_CLOCK)' > $$head; \
+	  grep -Ev '$(HOST_CLOCK)' $$f | diff -u --label HEAD:$$f --label $$f $$head - || status=1; \
+	done; rm -f $$head; exit $$status
 
 clean:
 	$(DUNE) clean

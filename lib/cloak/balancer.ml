@@ -4,25 +4,26 @@
    counters the driver feeds in — no I/O, no VMM access. See
    balancer.mli. *)
 
-type state = Healthy | Suspect | Draining | Dead | Rejoining
+type state = Healthy | Suspect | Dead | Rejoining
 
 let state_to_string = function
   | Healthy -> "healthy"
   | Suspect -> "suspect"
-  | Draining -> "draining"
   | Dead -> "dead"
   | Rejoining -> "rejoining"
 
-type shed_reason = Overload | Draining_host | No_capacity
+type shed_reason = Overload | No_capacity
 
 let shed_to_string = function
   | Overload -> "overload"
-  | Draining_host -> "draining-host"
   | No_capacity -> "no-capacity"
+
+let threshold = 2.0
+let queue_bound = 6
+let reduced_queue_bound = queue_bound / 2
 
 type host = {
   mutable st : state;
-  mutable load : int;
   mutable beats : int;
   mutable missed : int;  (* consecutive missed heartbeats *)
   mutable errors : int;  (* contained faults charged to this host *)
@@ -31,48 +32,27 @@ type host = {
   mutable rejoin_at : int;  (* next promotion time while Dead/Rejoining *)
 }
 
-type t = {
-  hosts : host array;
-  threshold : float;
-  queue_bound : int;
-  reduced_queue_bound : int;
-  rejoin_backoff : int;
-  mutable load_feed : (int -> int) option;
-      (* telemetry gauge feed: host index -> current queue depth *)
-}
+type t = { hosts : host array; rejoin_backoff : int }
 
-let fresh_host () =
-  {
-    st = Healthy;
-    load = 0;
-    beats = 0;
-    missed = 0;
-    errors = 0;
-    last_beat = 0;
-    mean_gap = 0.0;
-    rejoin_at = 0;
-  }
-
-let create ~hosts ?(threshold = 2.0) ?(queue_bound = 6) ?(rejoin_backoff = 0)
-    () =
+let create ~hosts ?(rejoin_backoff = 0) () =
   if hosts <= 0 then invalid_arg "Balancer.create: hosts must be positive";
-  if threshold <= 0.0 then invalid_arg "Balancer.create: threshold must be positive";
-  if queue_bound <= 0 then invalid_arg "Balancer.create: queue_bound must be positive";
   {
-    hosts = Array.init hosts (fun _ -> fresh_host ());
-    threshold;
-    queue_bound;
-    reduced_queue_bound = max 1 (queue_bound / 2);
+    hosts =
+      Array.init hosts (fun _ ->
+          {
+            st = Healthy;
+            beats = 0;
+            missed = 0;
+            errors = 0;
+            last_beat = 0;
+            mean_gap = 0.0;
+            rejoin_at = 0;
+          });
     rejoin_backoff;
-    load_feed = None;
   }
 
-let n_hosts t = Array.length t.hosts
 let host t i = t.hosts.(i)
 let state t i = (host t i).st
-let load t i = (host t i).load
-let threshold t = t.threshold
-let queue_bound t = t.queue_bound
 
 (* --- heartbeats and suspicion --- *)
 
@@ -107,8 +87,8 @@ let mean_gap t i = (host t i).mean_gap
    suspicion, plus how overdue the next beat is relative to the learned
    gap (capped at one unit: a single silent interval is at most one
    beat's worth of evidence), plus a bounded contribution from the host's
-   error rate. Crossing [threshold] (default two whole missed beats)
-   marks the host Suspect. *)
+   error rate. Crossing [threshold] (two whole missed beats) marks the
+   host Suspect. *)
 let suspicion t i ~now =
   let h = host t i in
   let overdue =
@@ -123,27 +103,14 @@ let suspicion t i ~now =
 let suspect t i ~now =
   let h = host t i in
   let s = suspicion t i ~now in
-  if s >= t.threshold && h.st = Healthy then h.st <- Suspect;
-  s >= t.threshold
+  if s >= threshold && h.st = Healthy then h.st <- Suspect;
+  s >= threshold
 
 (* --- availability state machine --- *)
-
-let begin_drain t i =
-  let h = host t i in
-  match h.st with
-  | Healthy | Suspect -> h.st <- Draining
-  | Draining | Dead | Rejoining -> ()
-
-let mark_drained t i ~now =
-  let h = host t i in
-  h.st <- Dead;
-  h.load <- 0;
-  h.rejoin_at <- now + t.rejoin_backoff
 
 let mark_dead t i ~now =
   let h = host t i in
   h.st <- Dead;
-  h.load <- 0;
   h.rejoin_at <- now + t.rejoin_backoff
 
 (* Re-admission with backoff: a Dead host whose backoff expired rejoins
@@ -164,13 +131,9 @@ let tick t ~now =
         | _ -> ())
       t.hosts
 
-(* --- load accounting and routing --- *)
+(* --- routing --- *)
 
-let set_load t i v = (host t i).load <- max 0 v
-let bind_load t feed = t.load_feed <- Some feed
-
-let routable h =
-  match h.st with Healthy | Suspect | Rejoining -> true | Draining | Dead -> false
+let routable h = h.st <> Dead
 
 let serving t =
   Array.fold_left (fun n h -> if routable h then n + 1 else n) 0 t.hosts
@@ -181,37 +144,23 @@ let serving t =
 let reduced_service t = serving t < Array.length t.hosts
 
 let bound_for t h =
-  if h.st = Rejoining || reduced_service t then t.reduced_queue_bound
-  else t.queue_bound
+  if h.st = Rejoining || reduced_service t then reduced_queue_bound
+  else queue_bound
 
-(* Least-loaded routable host, lowest index on ties (determinism). A full
-   fleet sheds typed: [Overload] when every candidate is at its bound,
-   [Draining_host] when room exists only behind a draining host (the shed
-   is attributable to the drain), [No_capacity] when nothing routes at
-   all. *)
-let route t =
-  (* refresh occupancy from the bound telemetry feed before choosing;
-     only routable hosts are polled — a dead host's gauge is stale by
-     definition and its load is pinned to 0 by the state machine *)
-  (match t.load_feed with
-  | None -> ()
-  | Some feed ->
-      Array.iteri (fun i h -> if routable h then h.load <- max 0 (feed i)) t.hosts);
-  let best = ref (-1) in
+(* Least-loaded routable host, lowest index on ties (determinism). Only
+   routable hosts are polled: a dead host's queue is not a signal. A full
+   fleet sheds typed: [Overload] when the least-loaded candidate is at its
+   bound, [No_capacity] when nothing routes at all. *)
+let route t ~load =
+  let best = ref None in
   Array.iteri
     (fun i h ->
-      if routable h && (!best < 0 || h.load < t.hosts.(!best).load) then
-        best := i)
+      if routable h then
+        let l = load i in
+        match !best with
+        | Some (_, bl) when bl <= l -> ()
+        | _ -> best := Some (i, l))
     t.hosts;
-  if !best < 0 then Error No_capacity
-  else
-    let h = t.hosts.(!best) in
-    if h.load < bound_for t h then Ok !best
-    else if
-      Array.exists
-        (fun h -> h.st = Draining && h.load < t.queue_bound)
-        t.hosts
-    then Error Draining_host
-    else Error Overload
-
-let states t = Array.map (fun h -> h.st) t.hosts
+  match !best with
+  | None -> Error No_capacity
+  | Some (i, l) -> if l < bound_for t t.hosts.(i) then Ok i else Error Overload

@@ -21,46 +21,41 @@
       [Healthy] after another interval of good behaviour.
 
     State machine: [Healthy → Suspect] (suspicion crossed threshold),
-    [Suspect → Healthy] (heartbeat received), [Healthy/Suspect →
-    Draining] ({!begin_drain}), [Draining → Dead] ({!mark_drained}:
-    processes migrated away), [any → Dead] ({!mark_dead}: crash), [Dead →
-    Rejoining → Healthy] ({!tick}, backoff-gated). Losing any host also
-    flips the fleet into reduced service: every host's admission bound
-    halves, trading sheds for bounded queues. *)
+    [Suspect → Healthy] (heartbeat received), [any → Dead] ({!mark_dead}:
+    the host's processes were drained away or it crashed), [Dead →
+    Rejoining → Healthy] ({!tick}, backoff-gated). A drain that aborts
+    leaves the state alone: the host keeps serving and may be drained
+    again. Losing any host also flips the fleet into reduced service:
+    every host's admission bound halves, trading sheds for bounded
+    queues. *)
 
-type state = Healthy | Suspect | Draining | Dead | Rejoining
+type state = Healthy | Suspect | Dead | Rejoining
 
 val state_to_string : state -> string
 
 (** Why a request was shed. Every rejection is typed and immediate — the
     client never hangs on a host that will not answer. *)
 type shed_reason =
-  | Overload       (** every routable host is at its admission bound *)
-  | Draining_host  (** room exists only behind a draining host *)
-  | No_capacity    (** no routable host at all (reduced service floor) *)
+  | Overload     (** every routable host is at its admission bound *)
+  | No_capacity  (** no routable host at all (reduced service floor) *)
 
 val shed_to_string : shed_reason -> string
 
+val threshold : float
+(** The suspicion level that marks a host Suspect: 2.0, two whole missed
+    beats. *)
+
+val queue_bound : int
+(** The per-host admission bound: 6, halved in reduced service and for
+    rejoining hosts. *)
+
 type t
 
-val create :
-  hosts:int ->
-  ?threshold:float ->
-  ?queue_bound:int ->
-  ?rejoin_backoff:int ->
-  unit ->
-  t
-(** [threshold] (default 2.0) is the suspicion level that marks a host
-    Suspect; [queue_bound] (default 6) the per-host admission bound
-    (halved in reduced service / for rejoining hosts); [rejoin_backoff]
-    (default 0 = never) the cycles a dead host sits out before
-    re-admission. *)
+val create : hosts:int -> ?rejoin_backoff:int -> unit -> t
+(** [rejoin_backoff] (default 0 = never) is the cycles a dead host sits
+    out before re-admission. *)
 
-val n_hosts : t -> int
 val state : t -> int -> state
-val states : t -> state array
-val threshold : t -> float
-val queue_bound : t -> int
 
 (** {1 Failure detection} *)
 
@@ -86,29 +81,15 @@ val mean_gap : t -> int -> float
 
 (** {1 State machine} *)
 
-val begin_drain : t -> int -> unit
-val mark_drained : t -> int -> now:int -> unit
 val mark_dead : t -> int -> now:int -> unit
+(** Take host [i] out of service at cycle [now]: its processes were
+    drained away, or it crashed. The only way out of service. *)
+
 val tick : t -> now:int -> unit
 (** Advance re-admission: [Dead → Rejoining → Healthy] as backoffs
     expire. No-op when [rejoin_backoff] is 0. *)
 
 (** {1 Routing} *)
-
-val load : t -> int -> int
-
-val set_load : t -> int -> int -> unit
-(** Overwrite host [i]'s load outright — the direct form of the feed
-    below, for drivers (and tests) that push occupancy instead of
-    binding a gauge. Negative values clamp to 0. *)
-
-val bind_load : t -> (int -> int) -> unit
-(** Bind the continuous load signal: [feed i] returns host [i]'s current
-    queue depth (typically a telemetry gauge, e.g.
-    [Telemetry.gauge_value tel ~host:i "queue-depth"]). Every {!route}
-    refreshes routable hosts' occupancy from the feed before choosing;
-    dead and draining hosts are not polled — their load is pinned to 0
-    by the state machine. *)
 
 val serving : t -> int
 (** Routable hosts (Healthy, Suspect or Rejoining). *)
@@ -116,8 +97,7 @@ val serving : t -> int
 val reduced_service : t -> bool
 (** Some capacity is lost; admission bounds are halved fleet-wide. *)
 
-val route : t -> (int, shed_reason) result
+val route : t -> load:(int -> int) -> (int, shed_reason) result
 (** Place one request: least-loaded routable host under its admission
-    bound, or a typed shed. Occupancy comes from the bound load feed
-    ({!bind_load}), refreshed on every call; without a feed, from the
-    last {!set_load}. *)
+    bound, or a typed shed. [load i] is host [i]'s current queue depth;
+    it is asked of routable hosts only. *)

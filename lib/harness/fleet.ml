@@ -43,9 +43,13 @@ type host = {
   vmm : Cloak.Vmm.t;
   k : Kernel.t;
   htrace : Trace.t;
+  tid : int;
+      (* the request trace id of its own service process: [idx + 1], set
+         whether or not telemetry records (never 0 — 0 means "no id" on
+         the wire), so the MIGF1 frames are byte-identical either way and
+         the disabled path changes no charged cycle *)
   mutable spawned : bool;
   mutable pid : int;
-  mutable tid : int;  (* the request trace id of its own service process *)
   mutable spawn_at : int;
   mutable adopted : (int * int * int) list;
       (* adopted pid, source host, request trace id (from the wire) *)
@@ -58,11 +62,16 @@ type host = {
   mutable last_contained : int;
 }
 
-type failover_record = {
+(* One committed failover. Until its destination runs, it is also that
+   host's pending adoption. *)
+type failover = {
   fo_src : int;
   fo_dst : int;
-  fo_tid : int;  (* the travelling request's trace id *)
-  fo_blob : bytes;
+  fo_pid : int;  (* the travelling pid *)
+  fo_tid : int;  (* request trace id, learned from the authenticated wire *)
+  fo_blob : bytes;  (* the destination's verified blob *)
+  fo_drain : bool;  (* a suspicion drain; else a post-crash rescue *)
+  fo_downtime : int;  (* source cycles the transfer took *)
 }
 
 type fleet = {
@@ -73,32 +82,16 @@ type fleet = {
   hosts : host array;
   jitter : Oscrypto.Prng.t;
   tel : Telemetry.t array;  (* per-host registries, merged after the run *)
-  mutable next_tid : int;
   seqs : (int, int ref) Hashtbl.t;  (* per request: next hop sequence *)
   mutable sessions : int;
-  pending : (int * int * bytes * int) list array;
-      (* per destination: (source host, travelling pid, verified blob,
-         request trace id learned from the authenticated wire) *)
-  mutable records : failover_record list;
+  mutable failovers : failover list;  (* committed, newest first *)
   mutable lost : int;        (* cloaked processes lost for good *)
-  mutable drains : int;      (* committed suspicion-triggered drains *)
-  mutable crash_failovers : int;  (* committed post-crash rescues *)
-  mutable downtimes : int list;   (* per committed failover, cycles *)
-  mutable install_cycles : int;
   mutable hb_timeouts : int;  (* heartbeats the network ate, fleet-wide *)
 }
 
 let tag_of pid = Cloak.Resource.tag (Cloak.Resource.Anon pid)
 let coordinator fl = fl.hosts.(0).vmm
-
-(* Request trace ids are minted unconditionally (never 0 — 0 means "no
-   id" on the wire) so the MIGF1 frames are byte-identical whether
-   telemetry is recording or not: the disabled path must not change a
-   single charged cycle. *)
-let mint_tid fl =
-  let t = fl.next_tid in
-  fl.next_tid <- t + 1;
-  t
+let pending fl j = List.filter (fun fo -> fo.fo_dst = j) fl.failovers
 
 let next_seq fl tid =
   match Hashtbl.find_opt fl.seqs tid with
@@ -109,18 +102,6 @@ let next_seq fl tid =
       Hashtbl.replace fl.seqs tid (ref 0);
       0
 
-(* One authenticated transfer attempt src → dst through the migration
-   driver. Committed: the destination's verified blob paired with the
-   request trace id the receiver learned from the authenticated frames.
-   Aborted: None — nothing was staled. *)
-let attempt_transfer fl ~src ~dst ~tag ~session ~trace_id blob =
-  let src_vmm = fl.hosts.(src).vmm in
-  let snd = Cloak.Migrate.sender src_vmm ~session ~trace_id blob in
-  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
-  if (Migration.transfer fl.ch ~jitter:fl.jitter ~src:src_vmm ~tag snd rcv).committed
-  then Option.map (fun b -> (b, Cloak.Migrate.trace_id rcv)) (Cloak.Migrate.blob rcv)
-  else None
-
 (* A failover destination must not be running yet (hosts execute
    sequentially, so a later host can still adopt before it spawns), must
    look healthy to the balancer, and must not already hold a pending blob
@@ -130,22 +111,55 @@ let choose_target fl ~src ~travelling_pid =
   let best = ref None in
   Array.iteri
     (fun j h ->
+      let queued = pending fl j in
       if
         j <> src
         && (not h.spawned)
         && Cloak.Balancer.state fl.bal j = Cloak.Balancer.Healthy
-        && not
-             (List.exists
-                (fun (_, p, _, _) -> p = travelling_pid)
-                fl.pending.(j))
+        && not (List.exists (fun fo -> fo.fo_pid = travelling_pid) queued)
       then begin
-        let load = List.length fl.pending.(j) in
+        let load = List.length queued in
         match !best with
         | Some (_, bl) when bl <= load -> ()
         | _ -> best := Some (j, load)
       end)
     fl.hosts;
   Option.map fst !best
+
+(* The one failover step, shared by drain and rescue: one authenticated
+   transfer of [h]'s process (sealed as [blob]) onto [dst] through the
+   migration driver. Committed: the destination's verified blob is booked
+   as a failover record and the commit cycle is returned. Aborted: None —
+   nothing was staled. The session name rides the wire: [f<seed>-h<i>-s<n>]
+   for a drain, [f<seed>-x<i>-s<n>] for a rescue. *)
+let failover fl h ~dst ~drain blob =
+  fl.sessions <- fl.sessions + 1;
+  let session =
+    Printf.sprintf "f%d-%c%d-s%d" fl.f_seed (if drain then 'h' else 'x') h.idx
+      fl.sessions
+  in
+  let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+  let snd = Cloak.Migrate.sender h.vmm ~session ~trace_id:h.tid blob in
+  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
+  let committed =
+    (Migration.transfer fl.ch ~jitter:fl.jitter ~src:h.vmm ~tag:(tag_of h.pid)
+       snd rcv).committed
+  in
+  match Cloak.Migrate.blob rcv with
+  | Some fo_blob when committed ->
+      let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+      fl.failovers <-
+        { fo_src = h.idx; fo_dst = dst; fo_pid = h.pid;
+          fo_tid = Cloak.Migrate.trace_id rcv; fo_blob; fo_drain = drain;
+          fo_downtime = t1 - t0 }
+        :: fl.failovers;
+      let hop = if drain then "drain" else "rescue" in
+      let tel = fl.tel.(h.idx) in
+      Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop ~seq:(next_seq fl h.tid)
+        ~t0 ~t1;
+      Telemetry.incr tel ~host:h.idx ~at:t1 (hop ^ "-commit");
+      Some t1
+  | _ -> None
 
 (* The supervision hook: runs inside the host kernel's checkpoint syscall
    with the process quiesced. Each invocation is one heartbeat interval —
@@ -192,37 +206,20 @@ let rec hook fl h blob =
         (* nowhere to drain to: keep serving and keep watching *)
         rearm ();
         Kernel.Mig_abort
-    | Some dst ->
-        Cloak.Balancer.begin_drain fl.bal h.idx;
-        let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-        Trace.span_enter h.htrace ~ctx:Trace.Vmm ~site:(tag_of h.pid)
-          Trace.Migration;
-        fl.sessions <- fl.sessions + 1;
-        let session = Printf.sprintf "f%d-h%d-s%d" fl.f_seed h.idx fl.sessions in
-        let outcome =
-          attempt_transfer fl ~src:h.idx ~dst ~tag:(tag_of h.pid) ~session
-            ~trace_id:h.tid blob
-        in
-        let dt = Cost.cycles (Cloak.Vmm.cost h.vmm) - t0 in
-        Trace.span_exit h.htrace ~ctx:Trace.Vmm ~site:(tag_of h.pid)
-          Trace.Migration;
-        (match outcome with
-        | Some (dblob, wire_tid) ->
+    | Some dst -> (
+        let site = tag_of h.pid in
+        Trace.span_enter h.htrace ~ctx:Trace.Vmm ~site Trace.Migration;
+        let committed = failover fl h ~dst ~drain:true blob in
+        Trace.span_exit h.htrace ~ctx:Trace.Vmm ~site Trace.Migration;
+        match committed with
+        | Some at ->
             h.drained <- true;
-            h.drain_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
-            Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"drain"
-              ~seq:(next_seq fl h.tid) ~t0 ~t1:h.drain_at;
-            Telemetry.incr tel ~host:h.idx ~at:h.drain_at "drain-commit";
-            fl.pending.(dst) <- (h.idx, h.pid, dblob, wire_tid) :: fl.pending.(dst);
-            fl.records <-
-              { fo_src = h.idx; fo_dst = dst; fo_tid = wire_tid; fo_blob = dblob }
-              :: fl.records;
-            fl.drains <- fl.drains + 1;
-            fl.downtimes <- dt :: fl.downtimes;
-            Cloak.Balancer.mark_drained fl.bal h.idx ~now:h.drain_at;
+            h.drain_at <- at;
+            Cloak.Balancer.mark_dead fl.bal h.idx ~now:at;
             Kernel.Mig_commit
         | None ->
-            (* aborted: resume at the source, nothing was staled *)
+            (* aborted: resume at the source, nothing was staled, and the
+               host stays in service for the next attempt *)
             if h.drain_attempts < max_drain_attempts then rearm ();
             Kernel.Mig_abort)
   end
@@ -248,63 +245,37 @@ let crash_failover fl h =
         (* died before its first sealed checkpoint: nothing to rescue *)
         fl.lost <- fl.lost + 1
     | Some { Kernel.sup_last_checkpoint = Some blob; _ } ->
-        let committed = ref false in
-        let attempts = ref 0 in
-        while (not !committed) && !attempts < max_failover_attempts do
-          incr attempts;
+        let rec rescue attempts =
+          attempts < max_failover_attempts
+          &&
           match choose_target fl ~src:h.idx ~travelling_pid:h.pid with
-          | None -> attempts := max_failover_attempts
-          | Some dst -> (
-              fl.sessions <- fl.sessions + 1;
-              let session =
-                Printf.sprintf "f%d-x%d-s%d" fl.f_seed h.idx fl.sessions
-              in
-              let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-              match
-                attempt_transfer fl ~src:h.idx ~dst ~tag:(tag_of h.pid)
-                  ~session ~trace_id:h.tid blob
-              with
-              | Some (dblob, wire_tid) ->
-                  committed := true;
-                  let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-                  let dt = t1 - t0 in
-                  Telemetry.span fl.tel.(h.idx) ~host:h.idx ~tid:h.tid
-                    ~hop:"rescue" ~seq:(next_seq fl h.tid) ~t0 ~t1;
-                  Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:t1
-                    "rescue-commit";
-                  fl.pending.(dst) <-
-                    (h.idx, h.pid, dblob, wire_tid) :: fl.pending.(dst);
-                  fl.records <-
-                    { fo_src = h.idx; fo_dst = dst; fo_tid = wire_tid;
-                      fo_blob = dblob }
-                    :: fl.records;
-                  fl.crash_failovers <- fl.crash_failovers + 1;
-                  fl.downtimes <- dt :: fl.downtimes
-              | None -> ())
-        done;
-        if not !committed then fl.lost <- fl.lost + 1
+          | None -> false
+          | Some dst ->
+              failover fl h ~dst ~drain:false blob <> None
+              || rescue (attempts + 1)
+        in
+        if not (rescue 0) then fl.lost <- fl.lost + 1
 
 let adopt_pending fl h errors =
   List.iter
-    (fun (src, _pid, blob, tid) ->
+    (fun fo ->
       let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-      match Kernel.adopt_migrated h.k ~policy ~prog:service blob with
+      match Kernel.adopt_migrated h.k ~policy ~prog:service fo.fo_blob with
       | p ->
           let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-          fl.install_cycles <- fl.install_cycles + (t1 - t0);
           (* the adopt hop continues the request's trace under the id
              carried (MAC-covered) in the migration frames, not a local
              guess — this is what stitches the two hosts together *)
-          Telemetry.span fl.tel.(h.idx) ~host:h.idx ~tid ~hop:"adopt"
-            ~seq:(next_seq fl tid) ~t0 ~t1;
+          Telemetry.span fl.tel.(h.idx) ~host:h.idx ~tid:fo.fo_tid ~hop:"adopt"
+            ~seq:(next_seq fl fo.fo_tid) ~t0 ~t1;
           Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:t1 "adopt";
-          h.adopted <- (p, src, tid) :: h.adopted
+          h.adopted <- (p, fo.fo_src, fo.fo_tid) :: h.adopted
       | exception e ->
           errors :=
             Printf.sprintf "host %d refused blob drained from host %d: %s"
-              h.idx src (Printexc.to_string e)
+              h.idx fo.fo_src (Printexc.to_string e)
             :: !errors)
-    (List.rev fl.pending.(h.idx))
+    (List.rev (pending fl h.idx))
 
 (* --- layer 2: the open-loop overlay ---
 
@@ -319,15 +290,10 @@ let adopt_pending fl h errors =
    corpse keeps soaking a share of the traffic. *)
 
 type sim = {
-  sim_arrivals : int;
   sim_admitted : int;
-  sim_completed : int;
   sim_within_budget : int;
-  sim_lost : int;  (* admitted but never answered *)
   sim_sheds_overload : int;
-  sim_sheds_draining : int;
   sim_sheds_no_capacity : int;
-  sim_p50 : int;
   sim_p95 : int;
   sim_p99 : int;
   sim_samples : int;  (* telemetry samples this sim recorded *)
@@ -338,8 +304,7 @@ type sim = {
   sim_worst_burn : float;
 }
 
-let sheds_total s =
-  s.sim_sheds_overload + s.sim_sheds_draining + s.sim_sheds_no_capacity
+let sheds_total s = s.sim_sheds_overload + s.sim_sheds_no_capacity
 
 let budget_pct s =
   if s.sim_admitted = 0 then 100.0
@@ -348,17 +313,9 @@ let budget_pct s =
 (* Goodput: requests answered within the latency budget. *)
 let goodput s = s.sim_within_budget
 
-type timeline = {
-  t_died : bool;
-  t_drained : bool;
-  t_drain_at : int;
-  t_death_at : int;
-  t_end : int;
-}
-
-let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
-  let n = Array.length tl in
-  let horizon = Array.fold_left (fun a t -> max a t.t_end) 1 tl in
+let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
+  let n = Array.length hosts in
+  let horizon = Array.fold_left (fun a h -> max a h.end_at) 1 hosts in
   (* ~24 windows over the run: coarse enough that every window sees
      traffic, fine enough that an outage spans several *)
   let tel =
@@ -379,17 +336,16 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
     Cloak.Balancer.create ~hosts:n
       ~rejoin_backoff:(if supervised then backoff else 0) ()
   in
-  let qb = Cloak.Balancer.queue_bound bal in
   (* when the supervisor takes host i out of rotation, if ever: a drain is
      visible immediately (the supervisor did it), a death only after the
      suspicion threshold's worth of silent heartbeats *)
   let removal =
     Array.map
-      (fun t ->
-        if t.t_drained then Some t.t_drain_at
-        else if t.t_died then Some (min horizon (t.t_death_at + detect))
+      (fun h ->
+        if h.drained then Some h.drain_at
+        else if h.died then Some (min horizon (h.death_at + detect))
         else None)
-      tl
+      hosts
   in
   let revive =
     Array.map
@@ -403,8 +359,8 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
   let alive i t =
     (* is host i actually executing requests at [t]? *)
     let stop =
-      if supervised && tl.(i).t_drained then Some tl.(i).t_drain_at
-      else if tl.(i).t_died then Some tl.(i).t_death_at
+      if supervised && hosts.(i).drained then Some hosts.(i).drain_at
+      else if hosts.(i).died then Some hosts.(i).death_at
       else None
     in
     match stop with
@@ -418,9 +374,8 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
     max 1 (int_of_float (Float.round (-.gap_mean *. log u)))
   in
   let hist = Trace.Hist.create () in
-  let arrivals = ref 0 and admitted = ref 0 and completed = ref 0 in
-  let within = ref 0 and lost = ref 0 in
-  let sh_o = ref 0 and sh_d = ref 0 and sh_n = ref 0 in
+  let admitted = ref 0 and within = ref 0 in
+  let sh_o = ref 0 and sh_n = ref 0 in
   let serve i t_arr =
     admitted := !admitted + 1;
     (* SLO series, stamped at admission: the outcome is known
@@ -437,14 +392,13 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
           match revive.(i) with Some r -> t_arr >= r | None -> false
         in
         if in_revived then true
-        else if supervised && tl.(i).t_drained then
+        else if supervised && hosts.(i).drained then
           (* connection draining: in-flight work completes gracefully *)
           true
-        else if tl.(i).t_died then fin <= tl.(i).t_death_at
+        else if hosts.(i).died then fin <= hosts.(i).death_at
         else true
     in
     if ok then begin
-      completed := !completed + 1;
       let lat = fin - t_arr in
       Trace.Hist.add hist lat;
       Telemetry.observe tel ~at:t_arr "latency" lat;
@@ -453,18 +407,11 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
         Telemetry.incr tel ~at:t_arr "good"
       end
     end
-    else lost := !lost + 1
   in
   let t = ref (next_gap ()) in
-  (* the routing signal: the queue-depth gauge written at each arrival.
-     With telemetry off the feed falls back to the depth function the
-     gauge samples, so routing decisions are identical either way. *)
-  Cloak.Balancer.bind_load bal (fun i ->
-      if Telemetry.enabled tel then
-        Telemetry.gauge_value tel ~host:i "queue-depth"
-      else depth i !t);
   while !t < horizon do
-    arrivals := !arrivals + 1;
+    (* the queue-depth gauge records the routing signal; the router reads
+       [depth] itself, so telemetry on or off routes identically *)
     for i = 0 to n - 1 do
       Telemetry.gauge tel ~host:i ~at:!t "queue-depth" (depth i !t)
     done;
@@ -483,18 +430,13 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
           match rm with
           | Some at when (not removed.(i)) && !t >= at ->
               removed.(i) <- true;
-              if tl.(i).t_drained then begin
-                Cloak.Balancer.begin_drain bal i;
-                Cloak.Balancer.mark_drained bal i ~now:!t
-              end
-              else Cloak.Balancer.mark_dead bal i ~now:!t
+              Cloak.Balancer.mark_dead bal i ~now:!t
           | _ -> ())
         removal;
       Cloak.Balancer.tick bal ~now:!t;
-      match Cloak.Balancer.route bal with
+      match Cloak.Balancer.route bal ~load:(fun i -> depth i !t) with
       | Ok i -> serve i !t
       | Error Cloak.Balancer.Overload -> sh_o := !sh_o + 1
-      | Error Cloak.Balancer.Draining_host -> sh_d := !sh_d + 1
       | Error Cloak.Balancer.No_capacity -> sh_n := !sh_n + 1
     end
     else begin
@@ -503,7 +445,8 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
       for i = 1 to n - 1 do
         if depth i !t < depth !best !t then best := i
       done;
-      if depth !best !t < qb then serve !best !t else sh_o := !sh_o + 1
+      if depth !best !t < Cloak.Balancer.queue_bound then serve !best !t
+      else sh_o := !sh_o + 1
     end;
     t := !t + next_gap ()
   done;
@@ -524,15 +467,10 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (tl : timeline array) =
   in
   let ev = Telemetry.Slo.evaluate ~good:goods ~total:totals () in
   {
-    sim_arrivals = !arrivals;
     sim_admitted = !admitted;
-    sim_completed = !completed;
     sim_within_budget = !within;
-    sim_lost = !lost;
     sim_sheds_overload = !sh_o;
-    sim_sheds_draining = !sh_d;
     sim_sheds_no_capacity = !sh_n;
-    sim_p50 = Trace.Hist.percentile hist 0.5;
     sim_p95 = Trace.Hist.percentile hist 0.95;
     sim_p99 = Trace.Hist.percentile hist 0.99;
     sim_samples = Telemetry.samples tel;
@@ -552,7 +490,6 @@ type run = {
   r_hb_timeouts : int;
   r_double_resumes : int;
   r_downtimes : int list;
-  r_install_cycles : int;
   r_cycles : int;  (* total charged model cycles across all hosts *)
   r_sup : sim;
   r_unsup : sim;
@@ -576,9 +513,9 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace:htrace () in
     let k = Kernel.create ~config:kconfig vmm in
     {
-      idx; vmm; k; htrace; spawned = false; pid = -1; tid = 0; spawn_at = 0;
-      adopted = []; died = false; drained = false; drain_at = 0; death_at = 0;
-      end_at = 0; drain_attempts = 0; last_contained = 0;
+      idx; vmm; k; htrace; tid = idx + 1; spawned = false; pid = -1;
+      spawn_at = 0; adopted = []; died = false; drained = false; drain_at = 0;
+      death_at = 0; end_at = 0; drain_attempts = 0; last_contained = 0;
     }
   in
   let hosts = Array.init n_hosts mk in
@@ -593,16 +530,10 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       tel =
         Array.init n_hosts (fun _ ->
             if telemetry then Telemetry.create () else Telemetry.null);
-      next_tid = 1;
       seqs = Hashtbl.create 8;
       sessions = 0;
-      pending = Array.make n_hosts [];
-      records = [];
+      failovers = [];
       lost = 0;
-      drains = 0;
-      crash_failovers = 0;
-      downtimes = [];
-      install_cycles = 0;
       hb_timeouts = 0;
     }
   in
@@ -613,11 +544,9 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       if !escaped = None then begin
         let tel = fl.tel.(h.idx) in
         adopt_pending fl h errors;
-        (* mint the request id at admission — before the process exists —
-           and reserve the service hop's sequence slot so the span (only
-           emitted once its end is known) still sorts before the
-           heartbeats it encloses *)
-        h.tid <- mint_tid fl;
+        (* admit the request before the process exists, and reserve the
+           service hop's sequence slot so the span (only emitted once its
+           end is known) still sorts before the heartbeats it encloses *)
         let t_adm = Cost.cycles (Cloak.Vmm.cost h.vmm) in
         Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"admission"
           ~seq:(next_seq fl h.tid) ~t0:t_adm ~t1:t_adm;
@@ -689,7 +618,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
         with
         | _ -> incr double_resumes
         | exception e when Migration.is_stale e -> ())
-      fl.records;
+      fl.failovers;
   let wire = Cloak.Migrate.wire_log fl.ch in
   let leaks =
     List.concat_map
@@ -713,18 +642,6 @@ let run_once ?(telemetry = true) ~plan ~seed () =
           (Trace.Check.verdict h.htrace))
       (Array.to_list hosts)
   in
-  let tl =
-    Array.map
-      (fun h ->
-        {
-          t_died = h.died;
-          t_drained = h.drained;
-          t_drain_at = h.drain_at;
-          t_death_at = h.death_at;
-          t_end = max 1 h.end_at;
-        })
-      hosts
-  in
   let mean_gap =
     let sum = ref 0.0 and cnt = ref 0 in
     Array.iteri
@@ -737,8 +654,8 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       hosts;
     if !cnt = 0 then 0.0 else !sum /. float_of_int !cnt
   in
-  let sup = simulate ~seed ~mean_gap ~supervised:true ~telemetry tl in
-  let unsup = simulate ~seed ~mean_gap ~supervised:false ~telemetry tl in
+  let sup = simulate ~seed ~mean_gap ~supervised:true ~telemetry hosts in
+  let unsup = simulate ~seed ~mean_gap ~supervised:false ~telemetry hosts in
   let deaths =
     Array.fold_left (fun a h -> if h.died then a + 1 else a) 0 hosts
   in
@@ -771,7 +688,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
                      cross-host trace"
                     rc.fo_src rc.fo_dst rc.fo_tid
                   :: !errors)
-          fl.records;
+          fl.failovers;
       List.length
         (List.filter
            (fun tr ->
@@ -782,13 +699,12 @@ let run_once ?(telemetry = true) ~plan ~seed () =
   in
   {
     r_deaths = deaths;
-    r_drains = fl.drains;
-    r_failovers = fl.drains + fl.crash_failovers;
+    r_drains = List.length (List.filter (fun fo -> fo.fo_drain) fl.failovers);
+    r_failovers = List.length fl.failovers;
     r_lost = fl.lost;
     r_hb_timeouts = fl.hb_timeouts;
     r_double_resumes = !double_resumes;
-    r_downtimes = List.rev fl.downtimes;
-    r_install_cycles = fl.install_cycles;
+    r_downtimes = List.rev_map (fun fo -> fo.fo_downtime) fl.failovers;
     r_cycles =
       Array.fold_left
         (fun a h -> a + Cost.cycles (Cloak.Vmm.cost h.vmm))
@@ -892,9 +808,7 @@ type seed_report = {
   unsup_goodput : int;
   sheds : int;
   sheds_overload : int;
-  sheds_draining : int;
   sheds_no_capacity : int;
-  p50_latency : int;
   p95_latency : int;
   p99_latency : int;
   downtimes : int list;
@@ -989,10 +903,8 @@ let run_seed ~seed =
     unsup_goodput = goodput h1.r_unsup;
     sheds = sheds_total h1.r_sup + sheds_total bh.r_sup;
     sheds_overload = h1.r_sup.sim_sheds_overload + bh.r_sup.sim_sheds_overload;
-    sheds_draining = h1.r_sup.sim_sheds_draining + bh.r_sup.sim_sheds_draining;
     sheds_no_capacity =
       h1.r_sup.sim_sheds_no_capacity + bh.r_sup.sim_sheds_no_capacity;
-    p50_latency = h1.r_sup.sim_p50;
     p95_latency = h1.r_sup.sim_p95;
     p99_latency = h1.r_sup.sim_p99;
     downtimes = ff.r_downtimes @ h1.r_downtimes @ bh.r_downtimes;
@@ -1019,7 +931,7 @@ let pp_seed_report ppf (r : seed_report) =
   Format.fprintf ppf
     "seed %d: ff %.1f%% in budget; %d death%s, %d drain%s, %d failover%s, %d \
      lost, %d hb timeouts; goodput sup=%d unsup=%d; %d sheds (%d overload, \
-     %d draining, %d no-capacity); latency p95=%d p99=%d; telemetry %d \
+     %d no-capacity); latency p95=%d p99=%d; telemetry %d \
      samples, %d spans, %d stitched, alerts fast=%d slow=%d%s%s"
     r.seed r.ff_budget_pct r.deaths
     (if r.deaths = 1 then "" else "s")
@@ -1028,7 +940,7 @@ let pp_seed_report ppf (r : seed_report) =
     r.failovers
     (if r.failovers = 1 then "" else "s")
     r.lost_procs r.hb_timeouts r.sup_goodput r.unsup_goodput r.sheds
-    r.sheds_overload r.sheds_draining r.sheds_no_capacity r.p95_latency
+    r.sheds_overload r.sheds_no_capacity r.p95_latency
     r.p99_latency r.tel_samples r.tel_spans r.stitched_traces
     r.burn_fast_alerts r.burn_slow_alerts
     (if r.failures = [] then "" else " INVARIANTS BROKEN: ")

@@ -18,7 +18,10 @@
       COMMIT, so no failover can ever resume twice. A host that dies
       outright has its last sealed checkpoint rescued the same way; a
       blackholed channel exhausts the attempt budget and the process is
-      honestly counted lost — degraded, never duplicated.
+      honestly counted lost — degraded, never duplicated. Drain and
+      rescue share one failover step (target, session, driver call,
+      commit record); a committed drain takes the source out of service,
+      an aborted one leaves it serving for the next attempt.
     - {b graceful degradation} — an open-loop overlay (deterministic
       Poisson arrivals at 60% of fleet capacity, bounded per-host
       queues) routes through {!Cloak.Balancer}: requests that cannot be
@@ -55,15 +58,10 @@ val blackhole_plan : seed:int -> Inject.plan
 (** {1 The open-loop overlay} *)
 
 type sim = {
-  sim_arrivals : int;
   sim_admitted : int;
-  sim_completed : int;
   sim_within_budget : int;
-  sim_lost : int;  (** admitted but never answered *)
   sim_sheds_overload : int;
-  sim_sheds_draining : int;
   sim_sheds_no_capacity : int;
-  sim_p50 : int;
   sim_p95 : int;
   sim_p99 : int;
   sim_samples : int;  (** telemetry samples this sim recorded *)
@@ -89,8 +87,7 @@ type run = {
   r_lost : int;
   r_hb_timeouts : int;
   r_double_resumes : int;
-  r_downtimes : int list;
-  r_install_cycles : int;
+  r_downtimes : int list;  (** per committed failover, oldest first *)
   r_cycles : int;  (** total model cycles across every host VMM *)
   r_sup : sim;
   r_unsup : sim;
@@ -112,10 +109,11 @@ type run = {
 val run_once : ?telemetry:bool -> plan:Inject.plan -> seed:int -> unit -> run
 (** One scenario. [telemetry] (default true) selects a live registry per
     host; [false] threads {!Telemetry.null} everywhere instead — the
-    instrumented paths all become no-ops, and because request trace ids
-    are minted unconditionally the wire bytes (hence every cycle count)
-    are identical either way. That equality is the zero-overhead proof
-    {!Harness.Telemetry} checks. *)
+    instrumented paths all become no-ops, and because host [i]'s request
+    trace id is [i + 1] either way the wire bytes (hence every cycle
+    count) are identical. The overlay routes on each host's queue depth
+    directly, so its decisions do not depend on the registry either.
+    That equality is the zero-overhead proof {!Observe} checks. *)
 
 (** {1 Seed sweep} *)
 
@@ -131,9 +129,7 @@ type seed_report = {
   unsup_goodput : int;
   sheds : int;
   sheds_overload : int;
-  sheds_draining : int;
   sheds_no_capacity : int;
-  p50_latency : int;
   p95_latency : int;
   p99_latency : int;
   downtimes : int list;

@@ -165,7 +165,6 @@ type run = {
   src_status : int option;
   dst_status : int option;
   wire_frames : int;
-  wire_bytes : int;
   retries : int;
   mac_failures : int;
   leaks : string list;
@@ -294,7 +293,6 @@ let run_once ~plan ~seed =
     src_status = Kernel.exit_status src_k ~pid;
     dst_status = Kernel.exit_status dst_k ~pid;
     wire_frames = List.length wire;
-    wire_bytes = List.fold_left (fun a w -> a + Bytes.length w) 0 wire;
     retries = st.retries;
     mac_failures = st.mac_failures;
     leaks;
@@ -370,7 +368,6 @@ type seed_report = {
   downtime_cycles : int;
   breaker_trips : int;
   wire_frames : int;
-  wire_bytes : int;
   audit_dropped : int;
   failures : string list;
 }
@@ -408,10 +405,11 @@ let run_seed ~seed =
           fail (name ^ ": committed but source incarnation not retired");
         if r.dst_status <> Some 0 then
           fail (name ^ ": committed but migrated process failed at destination");
-        if r.src_units + 1 < 1 || r.dst_units < rounds then
+        (* the source reaches its first quiesce point only after a unit *)
+        if r.src_units < 1 || r.dst_units < rounds then
           fail
-            (Printf.sprintf "%s: destination finished %d/%d units" name
-               r.dst_units rounds)
+            (Printf.sprintf "%s: source finished %d units, destination %d/%d"
+               name r.src_units r.dst_units rounds)
       end
       else begin
         if r.breaker && r.attempts <> max_attempts then
@@ -464,7 +462,6 @@ let run_seed ~seed =
     downtime_cycles = clean.downtime + h1.downtime + bh.downtime;
     breaker_trips = (if h1.breaker then 1 else 0) + (if bh.breaker then 1 else 0);
     wire_frames = clean.wire_frames + h1.wire_frames + bh.wire_frames;
-    wire_bytes = clean.wire_bytes + h1.wire_bytes + bh.wire_bytes;
     audit_dropped =
       max clean.audit_dropped
         (max bh.audit_dropped (max h1.audit_dropped h2.audit_dropped));

@@ -76,7 +76,6 @@ type seed_report = {
   downtime_cycles : int;
   breaker_trips : int;  (** runs that exhausted the attempt budget *)
   wire_frames : int;
-  wire_bytes : int;
   audit_dropped : int;
   failures : string list;  (** broken invariants; empty = passed *)
 }

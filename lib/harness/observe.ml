@@ -37,7 +37,8 @@ let run ?(seed = 7) () =
   let on_ = Fleet.run_once ~telemetry:true ~plan:(hplan ()) ~seed () in
   (* the zero-overhead proof: same plan, same seed, registries off vs on
      — every charged cycle must match, and so must the overlay's routing
-     decisions (the gauge feed and its fallback read the same values) *)
+     decisions (the router reads queue depth itself; the gauge only
+     records it) *)
   if off.Fleet.r_cycles <> on_.Fleet.r_cycles then
     fail
       (Printf.sprintf

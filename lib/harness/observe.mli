@@ -8,8 +8,8 @@
       are bit-identical. Request trace ids are minted and ride the
       MIGF1 header whether or not a registry is live, so enabling
       telemetry changes no wire byte, no MAC length, no cycle. The
-      overlay's routing must agree too (the gauge feed and its direct
-      fallback compute the same occupancy).
+      overlay's routing must agree too: the router reads each host's
+      queue depth itself, and the [queue-depth] gauge only records it.
     - {b load-bearing when on} — the enabled run actually observed the
       scenario: samples and spans were recorded, every committed
       failover stitched into a complete cross-host causal trace, a dead

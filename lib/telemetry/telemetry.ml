@@ -448,9 +448,6 @@ let gauge_last t ?(host = -1) name =
           | _ -> acc)
         s.s_cells None
 
-let gauge_value t ?host ?(default = 0) name =
-  match gauge_last t ?host name with None -> default | Some (_, v) -> v
-
 let hist_windows t ?(host = -1) name =
   match Hashtbl.find_opt t.series (name, host) with
   | None -> []

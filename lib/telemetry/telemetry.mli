@@ -101,10 +101,6 @@ val counter_windows_all : t -> string -> (int * int) list
 val gauge_last : t -> ?host:int -> string -> (int * int) option
 (** The most recent gauge sample as [(stamp, value)], across windows. *)
 
-val gauge_value : t -> ?host:int -> ?default:int -> string -> int
-(** The value of {!gauge_last}, or [default] (default 0) if the gauge has
-    never been written — the shape a load balancer polls. *)
-
 val gauge_windows : t -> ?host:int -> string -> (int * int * int * int) list
 (** Per-window [(window, last, min, max)], ascending. *)
 

@@ -1,12 +1,12 @@
 (* Fleet supervision: the balancer policy (suspicion accrual, routing and
    the typed shed taxonomy, rejoin backoff), the migration session-key
    scrub-before-free lifecycle on the flight recorder, the harness
-   subcommands' exit codes, and a short hostile fleet sweep. *)
+   subcommands' exit codes, a short hostile fleet sweep and the retry of
+   an aborted drain. *)
 
 let vconfig = { Cloak.Vmm.default_config with seed = 0xF1EE }
 
-let bal ?threshold ?queue_bound ?rejoin_backoff hosts =
-  Cloak.Balancer.create ~hosts ?threshold ?queue_bound ?rejoin_backoff ()
+let bal ?rejoin_backoff hosts = Cloak.Balancer.create ~hosts ?rejoin_backoff ()
 
 let check_state what expected b i =
   Alcotest.(check string) what
@@ -32,7 +32,7 @@ let test_suspicion_accrues_and_recovers () =
   Cloak.Balancer.heartbeat b 0 ~now:10;
   check_state "heartbeat recovers Suspect" Cloak.Balancer.Healthy b 0;
   Alcotest.(check bool) "suspicion fell back under threshold" true
-    (Cloak.Balancer.suspicion b 0 ~now:10 < Cloak.Balancer.threshold b)
+    (Cloak.Balancer.suspicion b 0 ~now:10 < Cloak.Balancer.threshold)
 
 let test_suspicion_overdue_term_capped () =
   let b = bal 1 in
@@ -66,59 +66,59 @@ let test_suspicion_error_term_bounded () =
 
 let test_route_least_loaded_deterministic () =
   let b = bal 3 in
-  Cloak.Balancer.set_load b 0 2;
-  Cloak.Balancer.set_load b 1 0;
-  Cloak.Balancer.set_load b 2 1;
-  (match Cloak.Balancer.route b with
+  (match Cloak.Balancer.route b ~load:(Array.get [| 2; 0; 1 |]) with
   | Ok i -> Alcotest.(check int) "least-loaded wins" 1 i
   | Error _ -> Alcotest.fail "routable fleet shed a request");
-  Cloak.Balancer.set_load b 1 1;
-  match Cloak.Balancer.route b with
+  match Cloak.Balancer.route b ~load:(Array.get [| 2; 1; 1 |]) with
   | Ok i -> Alcotest.(check int) "lowest index breaks ties" 1 i
   | Error _ -> Alcotest.fail "routable fleet shed a request"
 
 let test_shed_taxonomy () =
-  let b = bal ~queue_bound:2 3 in
+  let b = bal 3 in
+  let full _ = Cloak.Balancer.queue_bound in
   (* every routable host at its bound: Overload *)
-  for i = 0 to 2 do
-    Cloak.Balancer.set_load b i 2
-  done;
-  (match Cloak.Balancer.route b with
+  (match Cloak.Balancer.route b ~load:full with
   | Error Cloak.Balancer.Overload -> ()
   | Ok i -> Alcotest.failf "admitted beyond the bound at host %d" i
   | Error r ->
       Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r));
-  (* room exists, but only behind a draining host *)
-  Cloak.Balancer.begin_drain b 1;
-  Cloak.Balancer.set_load b 1 0;
-  (match Cloak.Balancer.route b with
-  | Error Cloak.Balancer.Draining_host -> ()
-  | Ok i -> Alcotest.failf "routed to or around a draining host (%d)" i
+  (* a dead host is never polled, so its empty queue attracts nothing *)
+  Cloak.Balancer.mark_dead b 1 ~now:0;
+  let polled = ref [] in
+  (match
+     Cloak.Balancer.route b ~load:(fun i ->
+         polled := i :: !polled;
+         if i = 1 then 0 else Cloak.Balancer.queue_bound)
+   with
+  | Error Cloak.Balancer.Overload -> ()
+  | Ok i -> Alcotest.failf "routed to or around a dead host (%d)" i
   | Error r ->
       Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r));
+  Alcotest.(check (list int)) "only the live hosts polled" [ 2; 0 ] !polled;
   (* nothing routable at all *)
   Cloak.Balancer.mark_dead b 0 ~now:0;
   Cloak.Balancer.mark_dead b 2 ~now:0;
-  match Cloak.Balancer.route b with
+  match
+    Cloak.Balancer.route b ~load:(fun i ->
+        Alcotest.failf "polled dead host %d" i)
+  with
   | Error Cloak.Balancer.No_capacity -> ()
   | Ok i -> Alcotest.failf "routed to a dead fleet (host %d)" i
   | Error r -> Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r)
 
 let test_reduced_service_halves_bound () =
-  let b = bal ~queue_bound:6 3 in
+  let b = bal 3 in
+  let half _ = Cloak.Balancer.queue_bound / 2 in
   Alcotest.(check bool) "full fleet: full service" false
     (Cloak.Balancer.reduced_service b);
-  Cloak.Balancer.set_load b 0 3;
-  Cloak.Balancer.set_load b 1 3;
-  Cloak.Balancer.set_load b 2 3;
-  (match Cloak.Balancer.route b with
+  (match Cloak.Balancer.route b ~load:half with
   | Ok _ -> ()
-  | Error _ -> Alcotest.fail "load 3 of 6 must admit at full service");
+  | Error _ -> Alcotest.fail "a half-full queue must admit at full service");
   Cloak.Balancer.mark_dead b 2 ~now:0;
   Alcotest.(check bool) "losing a host flips reduced service" true
     (Cloak.Balancer.reduced_service b);
   Alcotest.(check int) "two hosts still serve" 2 (Cloak.Balancer.serving b);
-  match Cloak.Balancer.route b with
+  match Cloak.Balancer.route b ~load:half with
   | Error Cloak.Balancer.Overload -> ()
   | Ok i -> Alcotest.failf "host %d admitted past the halved bound" i
   | Error r -> Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r)
@@ -126,7 +126,6 @@ let test_reduced_service_halves_bound () =
 let test_rejoin_backoff () =
   let b = bal ~rejoin_backoff:10 2 in
   Cloak.Balancer.mark_dead b 0 ~now:0;
-  Cloak.Balancer.set_load b 0 0;
   Cloak.Balancer.tick b ~now:9;
   check_state "backoff holds the corpse out" Cloak.Balancer.Dead b 0;
   Cloak.Balancer.tick b ~now:10;
@@ -143,13 +142,6 @@ let test_rejoin_backoff () =
   Cloak.Balancer.mark_dead b0 1 ~now:0;
   Cloak.Balancer.tick b0 ~now:1_000_000;
   check_state "no backoff: a retired host stays Dead" Cloak.Balancer.Dead b0 1
-
-let test_set_load_clamps () =
-  let b = bal 1 in
-  Cloak.Balancer.set_load b 0 5;
-  Alcotest.(check int) "overwrites outright" 5 (Cloak.Balancer.load b 0);
-  Cloak.Balancer.set_load b 0 (-3);
-  Alcotest.(check int) "clamped at zero" 0 (Cloak.Balancer.load b 0)
 
 (* --- the session key obeys scrub-before-free (satellite of the fleet
    failover path: every drain/rescue closes both endpoints) --- *)
@@ -314,9 +306,30 @@ let test_fleet_invariants () =
         (Printf.sprintf "seed %d: typed reasons cover every shed"
            r.Harness.Fleet.seed)
         r.Harness.Fleet.sheds
-        (r.Harness.Fleet.sheds_overload + r.Harness.Fleet.sheds_draining
-       + r.Harness.Fleet.sheds_no_capacity))
+        (r.Harness.Fleet.sheds_overload + r.Harness.Fleet.sheds_no_capacity))
     reports
+
+(* An aborted drain leaves its host in service, so the drain budget buys
+   a second attempt and the next suspect can drain too. Every heartbeat
+   is lost (each host turns suspect at its first quiesce points) and every
+   migration frame is dropped (every drain aborts): hosts 0 and 1 each
+   spend both attempts, one Migration span apiece, and host 2 has no
+   unspawned peer left to drain to. Nothing commits and nothing is lost. *)
+let test_aborted_drain_retries () =
+  let plan =
+    Inject.plan ~seed:1
+      [ { Inject.site = Inject.Hb_send; trigger = Inject.always; action = Inject.Drop };
+        { Inject.site = Inject.Mig_send; trigger = Inject.always; action = Inject.Drop } ]
+  in
+  let r = Harness.Fleet.run_once ~plan ~seed:1 () in
+  let drains (_, _, trace) =
+    Trace.fold trace ~init:0 ~f:(fun n (e : Trace.event) ->
+        if e.kind = Trace.Migration && e.phase = Trace.Enter then n + 1 else n)
+  in
+  Alcotest.(check (list int)) "drain attempts per host" [ 2; 2; 0 ]
+    (List.map drains r.Harness.Fleet.r_host_traces);
+  Alcotest.(check int) "no failover committed" 0 r.Harness.Fleet.r_failovers;
+  Alcotest.(check int) "no process lost" 0 r.Harness.Fleet.r_lost
 
 let () =
   Alcotest.run "fleet"
@@ -338,7 +351,6 @@ let () =
           Alcotest.test_case "reduced service halves the bound" `Quick
             test_reduced_service_halves_bound;
           Alcotest.test_case "rejoin backoff" `Quick test_rejoin_backoff;
-          Alcotest.test_case "set_load clamps" `Quick test_set_load_clamps;
         ] );
       ( "session-key-scrub",
         [
@@ -358,5 +370,7 @@ let () =
             test_sweep_failure_exits_1;
         ] );
       ( "sweep",
-        [ Alcotest.test_case "3-seed hostile fleet" `Slow test_fleet_invariants ] );
+        [ Alcotest.test_case "3-seed hostile fleet" `Slow test_fleet_invariants;
+          Alcotest.test_case "aborted drain retries" `Quick
+            test_aborted_drain_retries ] );
     ]
