@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci bench-check clean
+.PHONY: all build test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci bench-check clean
 
 all: build
 
@@ -12,6 +12,22 @@ build:
 
 test: build
 	$(DUNE) runtest
+
+# Long fuzzing: the qcheck properties in test/test_fuzz.ml with
+# QCHECK_LONG set, so each property runs its long_factor times more cases
+# (the envelope decoder property 50x). A red run prints the command that
+# replays its seed.
+fuzz: build
+	@out=$$(mktemp); \
+	if QCHECK_LONG=1 $(DUNE) exec test/test_fuzz.exe > $$out 2>&1; then \
+	  cat $$out; rm -f $$out; \
+	else \
+	  cat $$out; \
+	  seed=$$(sed -n 's/.*qcheck random seed: \([0-9]*\).*/\1/p' $$out | head -n 1); \
+	  rm -f $$out; \
+	  echo "replay: QCHECK_SEED=$$seed QCHECK_LONG=1 dune exec test/test_fuzz.exe"; \
+	  exit 1; \
+	fi
 
 # The six seed sweeps, one row each: target, CLI subcommand, BENCH name.
 # Every sweep runs its subcommand's default seed count (chaos 10, the rest
@@ -66,7 +82,7 @@ regress: build
 regress-update: build
 	$(DUNE) exec bin/overshadow_cli.exe -- regress --update-baselines
 
-ci: test chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile
+ci: test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile
 
 # Diff every BENCH_*.json against its committed copy, ignoring the
 # host-clock keys; exits 1 on any other difference or on a BENCH file

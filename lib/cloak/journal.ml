@@ -40,28 +40,8 @@ let fresh_state () =
     seals = Hashtbl.create 8;
   }
 
-(* --- hex helpers (iv and mac travel as lowercase hex in record bodies) --- *)
-
+(* iv and mac travel as lowercase hex in record bodies *)
 let to_hex = Oscrypto.Sha256.hex
-
-let of_hex s =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
-  in
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let out = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some out else None
 
 (* --- record bodies --- *)
 
@@ -79,7 +59,10 @@ let body_of_event = function
 let event_of_body body =
   match String.split_on_char '|' body with
   | [ "U"; tag; idx; version; iv; mac ] -> (
-      match (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac) with
+      match
+        (int_of_string_opt idx, int_of_string_opt version, Oscrypto.Sha256.of_hex iv,
+         Oscrypto.Sha256.of_hex mac)
+      with
       | Some idx, Some version, Some iv, Some mac -> Some (Update { tag; idx; version; iv; mac })
       | _ -> None)
   | [ "I"; tag; idx; dev; block ] -> (
@@ -203,73 +186,39 @@ let anchor ~key epoch = Oscrypto.Hmac.mac_string ~key:(Bytes.to_string key) (Pri
 
 (* --- checkpoint serialization --- *)
 
-let snapshot_lines st =
-  let page_lines =
-    Hashtbl.fold
-      (fun (tag, idx) (p : page) acc ->
-        Printf.sprintf "M|%s|%d|%d|%s|%s" tag idx p.version (to_hex p.iv) (to_hex p.mac) :: acc)
-      st.pages []
-  and bind_lines prefix tbl =
-    Hashtbl.fold
-      (fun (tag, idx) (b : bind) acc ->
-        Printf.sprintf "%s|%s|%d|%s|%d" prefix tag idx b.dev b.block :: acc)
-      tbl []
-  and gen_lines =
-    Hashtbl.fold
-      (fun id (gen, size, pages) acc -> Printf.sprintf "N|%d|%d|%d|%d" id gen size pages :: acc)
-      st.gens []
-  and seal_lines =
-    Hashtbl.fold (fun tag gen acc -> Printf.sprintf "S|%s|%d" tag gen :: acc) st.seals []
+(* The state as the records that rebuild it, each group sorted by key.
+   Order matters on load: [apply (Update _)] drops the page's binds and
+   intent, and [apply (Commit _)] drops its intent, so updates go first,
+   then commits, then intents. *)
+let snapshot_events st =
+  let sorted tbl event =
+    Hashtbl.fold (fun k v acc -> (k, event k v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
   in
-  List.sort String.compare
-    (page_lines @ bind_lines "B" st.binds @ bind_lines "P" st.inflight @ gen_lines
-   @ seal_lines)
-
-let parse_snapshot_line st line =
-  match String.split_on_char '|' line with
-  | [ "M"; tag; idx; version; iv; mac ] -> (
-      match (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac) with
-      | Some idx, Some version, Some iv, Some mac ->
-          Hashtbl.replace st.pages (tag, idx) { version; iv; mac };
-          true
-      | _ -> false)
-  | [ ("B" | "P") as k; tag; idx; dev; block ] -> (
-      match (int_of_string_opt idx, int_of_string_opt block) with
-      | Some idx, Some block ->
-          Hashtbl.replace (if k = "B" then st.binds else st.inflight) (tag, idx) { dev; block };
-          true
-      | _ -> false)
-  | [ "N"; id; gen; size; pages ] -> (
-      match
-        (int_of_string_opt id, int_of_string_opt gen, int_of_string_opt size,
-         int_of_string_opt pages)
-      with
-      | Some id, Some gen, Some size, Some pages ->
-          Hashtbl.replace st.gens id (gen, size, pages);
-          true
-      | _ -> false)
-  | [ "S"; tag; gen ] -> (
-      match int_of_string_opt gen with
-      | Some gen ->
-          Hashtbl.replace st.seals tag gen;
-          true
-      | None -> false)
-  | _ -> false
+  sorted st.pages (fun (tag, idx) (p : page) ->
+      Update { tag; idx; version = p.version; iv = p.iv; mac = p.mac })
+  @ sorted st.binds (fun (tag, idx) (b : bind) ->
+        Commit { tag; idx; dev = b.dev; block = b.block })
+  @ sorted st.inflight (fun (tag, idx) (b : bind) ->
+        Intent { tag; idx; dev = b.dev; block = b.block })
+  @ sorted st.gens (fun id (gen, size, pages) -> Generation { id; gen; size; pages })
+  @ sorted st.seals (fun tag gen -> Seal { tag; gen })
 
 let ckpt_magic = "OVSJC"
 let sb_magic = "OVSJS"
 
 let render_checkpoint t ~epoch =
-  let lines = snapshot_lines t.st in
+  let events = snapshot_events t.st in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "%s|%d|%d\n" ckpt_magic epoch (List.length lines));
   List.iter
-    (fun l ->
-      Buffer.add_string buf l;
+    (fun ev ->
+      Buffer.add_string buf (body_of_event ev);
       Buffer.add_char buf '\n')
-    lines;
-  let body = Buffer.to_bytes buf in
-  Bytes.cat body (Oscrypto.Hmac.mac ~key:t.key body)
+    events;
+  Envelope.wrap ~key:t.key
+    [ ckpt_magic; string_of_int epoch; string_of_int (List.length events) ]
+    (Buffer.to_bytes buf)
 
 (* Write [data] into the checkpoint area [slot], zero-padding to whole
    blocks. [limit] bounds how many area blocks are actually written — the
@@ -288,12 +237,13 @@ let write_ckpt_area t ~slot ~data ~limit =
   done
 
 let write_superblock t ~epoch ~slot ~len =
-  let bs = t.store.block_size in
-  let header = Bytes.of_string (Printf.sprintf "%s|%d|%d|%d\n" sb_magic epoch slot len) in
-  let tag = Oscrypto.Hmac.mac ~key:t.key header in
-  let blk = Bytes.make bs '\000' in
-  Bytes.blit header 0 blk 0 (Bytes.length header);
-  Bytes.blit tag 0 blk (Bytes.length header) 32;
+  let sb =
+    Envelope.wrap ~key:t.key
+      [ sb_magic; string_of_int epoch; string_of_int slot; string_of_int len ]
+      Bytes.empty
+  in
+  let blk = Bytes.make t.store.block_size '\000' in
+  Bytes.blit sb 0 blk 0 (Bytes.length sb);
   bwrite t (epoch mod 2) blk
 
 let event_label = function
@@ -405,26 +355,23 @@ and record_body t event =
 
 type recovered = { rstate : state; repoch : int; replayed : int }
 
+(* A superblock is an envelope with an empty payload, zero-padded to the
+   block: its header line plus the trailer is all there is to verify. *)
 let read_superblock ~key store i =
   let blk = store.read i in
   match Bytes.index_opt blk '\n' with
-  | None -> None
-  | Some nl when nl + 33 > Bytes.length blk -> None
-  | Some nl -> (
-      let header = Bytes.sub blk 0 (nl + 1) in
-      let tag = Bytes.sub blk (nl + 1) 32 in
-      if not (Oscrypto.Hmac.verify ~key ~tag header) then None
-      else
-        match String.split_on_char '|' (Bytes.sub_string blk 0 nl) with
-        | [ magic; epoch; slot; len ] when magic = sb_magic -> (
-            match (int_of_string_opt epoch, int_of_string_opt slot, int_of_string_opt len) with
-            | Some epoch, Some slot, Some len -> Some (epoch, slot, len)
-            | _ -> None)
-        | _ -> None)
+  | Some nl when nl + 33 <= Bytes.length blk -> (
+      match Envelope.unwrap ~key (Bytes.sub blk 0 (nl + 33)) with
+      | Ok ([ magic; epoch; slot; len ], _) when magic = sb_magic -> (
+          match (int_of_string_opt epoch, int_of_string_opt slot, int_of_string_opt len) with
+          | Some epoch, Some slot, Some len -> Some (epoch, slot, len)
+          | _ -> None)
+      | Ok _ | Error _ -> None)
+  | Some _ | None -> None
 
 let load_checkpoint ~key store geom ~slot ~len =
   let bs = store.block_size in
-  if len < 33 || len > geom.ckpt_blocks * bs then None
+  if len < 0 || len > geom.ckpt_blocks * bs then None
   else begin
     let area = 2 + (slot * geom.ckpt_blocks) in
     let nblocks = (len + bs - 1) / bs in
@@ -432,30 +379,18 @@ let load_checkpoint ~key store geom ~slot ~len =
     for i = 0 to nblocks - 1 do
       Buffer.add_bytes buf (store.read (area + i))
     done;
-    let raw = Buffer.to_bytes buf in
-    let body = Bytes.sub raw 0 (len - 32) in
-    let tag = Bytes.sub raw (len - 32) 32 in
-    if not (Oscrypto.Hmac.verify ~key ~tag body) then None
-    else
-      match Bytes.index_opt body '\n' with
-      | None -> None
-      | Some nl -> (
-          match String.split_on_char '|' (Bytes.sub_string body 0 nl) with
-          | [ magic; _epoch; count ] when magic = ckpt_magic -> (
-              match int_of_string_opt count with
-              | None -> None
-              | Some count ->
-                  let st = fresh_state () in
-                  let lines =
-                    String.split_on_char '\n' (Bytes.sub_string body (nl + 1) (Bytes.length body - nl - 1))
-                  in
-                  let parsed =
-                    List.fold_left
-                      (fun acc l -> if l = "" then acc else if parse_snapshot_line st l then acc + 1 else acc)
-                      0 lines
-                  in
-                  if parsed = count then Some st else None)
-          | _ -> None)
+    match Envelope.unwrap ~key (Bytes.sub (Buffer.to_bytes buf) 0 len) with
+    | Ok ([ magic; _epoch; count ], payload) when magic = ckpt_magic -> (
+        let events =
+          List.filter_map event_of_body (String.split_on_char '\n' (Bytes.to_string payload))
+        in
+        match int_of_string_opt count with
+        | Some count when count = List.length events ->
+            let st = fresh_state () in
+            List.iter (apply st) events;
+            Some st
+        | Some _ | None -> None)
+    | Ok _ | Error _ -> None
   end
 
 let replay_log ~key store geom ~epoch st =

@@ -10,12 +10,16 @@
 
     On-store layout (all offsets in [store] blocks):
     - blocks 0 and 1: two superblock slots, written alternately. Each is
-      [OVSJS|epoch|slot|len\n] + HMAC, zero-padded. The valid slot with
-      the highest epoch is authoritative; because the checkpoint area and
-      the log anchor it names are fully written before the superblock is,
-      a crash at any point leaves at least one consistent epoch.
-    - two checkpoint areas: sorted snapshots of the full journal state
-      ([OVSJC] header, [M]/[B]/[P]/[N] lines, trailing HMAC).
+      an {!Envelope} [OVSJS|epoch|slot|len] with an empty payload,
+      zero-padded. The valid slot with the highest epoch is
+      authoritative; because the checkpoint area and the log anchor it
+      names are fully written before the superblock is, a crash at any
+      point leaves at least one consistent epoch.
+    - two checkpoint areas: snapshots of the full journal state, each an
+      {!Envelope} [OVSJC|epoch|count] whose payload is one record body
+      per line in the log's own grammar — updates first, then commits,
+      intents, generations and seal generations — so loading replays
+      them through the same [apply] as the log.
     - the rest: the append-only log. Each record is framed as an 8-digit
       hex length, an ASCII body, and a 32-byte chain MAC where
       [mac_i = HMAC(key, mac_(i-1) || body_i)] and [mac_0] chains from

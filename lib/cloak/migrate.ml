@@ -89,64 +89,41 @@ let encode ~key ~session ?(tid = 0) frame =
     | Ready | Commit | Abort -> (0, Bytes.empty)
     | Ack seq -> (seq, Bytes.empty)
   in
-  let header =
-    Printf.sprintf "%s|%s|%s|%d|%d|%d\n" magic session (kind_tag frame) seq
-      (Bytes.length payload) tid
-  in
-  let body = Bytes.cat (Bytes.of_string header) payload in
-  Bytes.cat body (Oscrypto.Hmac.mac ~key body)
+  Envelope.wrap ~key
+    [ magic; session; kind_tag frame; string_of_int seq;
+      string_of_int (Bytes.length payload); string_of_int tid ]
+    payload
 
 (* The request trace id rides in the header, so — like every header
    field — it sits under the frame MAC: an OS that rewrites it to confuse
    cross-host tracing produces a Bad_mac frame, not a mislabelled one. *)
 let decode_full ~key ~session wire =
-  let total = Bytes.length wire in
-  if total < 32 then Error Bad_mac
-  else
-    let body = Bytes.sub wire 0 (total - 32) in
-    let tag = Bytes.sub wire (total - 32) 32 in
-    if not (Oscrypto.Hmac.verify ~key ~tag body) then Error Bad_mac
-    else
-      (* everything below sits behind a valid session MAC *)
-      match Bytes.index_opt body '\n' with
-      | None -> Error Malformed
-      | Some nl -> (
-          let header = Bytes.sub_string body 0 nl in
-          let payload = Bytes.sub body (nl + 1) (Bytes.length body - nl - 1) in
-          match String.split_on_char '|' header with
-          | [ m; sess; kind; seq; len; tid ] when m = magic -> (
-              if sess <> session then Error Wrong_session
-              else
-                match
-                  ( int_of_string_opt seq,
-                    int_of_string_opt len,
-                    int_of_string_opt tid )
-                with
-                | Some seq, Some len, Some tid
-                  when len = Bytes.length payload -> (
-                    let ok frame = Ok (frame, tid) in
-                    match kind with
-                    | "offer" -> (
-                        match
-                          String.split_on_char '|' (Bytes.to_string payload)
-                        with
-                        | [ n; bl; digest ] -> (
-                            match (int_of_string_opt n, int_of_string_opt bl) with
-                            | Some nchunks, Some blob_len
-                              when nchunks >= 0 && blob_len >= 0 ->
-                                ok (Offer { nchunks; blob_len; digest })
-                            | _ -> Error Malformed)
-                        | _ -> Error Malformed)
-                    | "chunk" ->
-                        if seq < 0 then Error Malformed
-                        else ok (Chunk { seq; payload })
-                    | "ready" -> ok Ready
-                    | "commit" -> ok Commit
-                    | "abort" -> ok Abort
-                    | "ack" -> ok (Ack seq)
+  match Envelope.unwrap ~key wire with
+  | Error `Bad_mac -> Error Bad_mac
+  | Error `Malformed -> Error Malformed
+  | Ok ([ m; sess; kind; seq; len; tid ], payload) when m = magic -> (
+      if sess <> session then Error Wrong_session
+      else
+        match (int_of_string_opt seq, int_of_string_opt len, int_of_string_opt tid) with
+        | Some seq, Some len, Some tid when len = Bytes.length payload -> (
+            let ok frame = Ok (frame, tid) in
+            match kind with
+            | "offer" -> (
+                match String.split_on_char '|' (Bytes.to_string payload) with
+                | [ n; bl; digest ] -> (
+                    match (int_of_string_opt n, int_of_string_opt bl) with
+                    | Some nchunks, Some blob_len when nchunks >= 0 && blob_len >= 0 ->
+                        ok (Offer { nchunks; blob_len; digest })
                     | _ -> Error Malformed)
                 | _ -> Error Malformed)
-          | _ -> Error Malformed)
+            | "chunk" -> if seq < 0 then Error Malformed else ok (Chunk { seq; payload })
+            | "ready" -> ok Ready
+            | "commit" -> ok Commit
+            | "abort" -> ok Abort
+            | "ack" -> ok (Ack seq)
+            | _ -> Error Malformed)
+        | _ -> Error Malformed)
+  | Ok _ -> Error Malformed
 
 let decode ~key ~session wire =
   Result.map fst (decode_full ~key ~session wire)
@@ -166,16 +143,6 @@ let channel ?engine () = { engine; fwd = []; rev = []; log = [] }
 let wire_log ch = List.rev ch.log
 let idle ch = ch.fwd = [] && ch.rev = []
 
-let mangle action wire =
-  match action with
-  | Inject.Bit_flip off when Bytes.length wire > 0 ->
-      let b = Bytes.copy wire in
-      let i = off mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      b
-  | Inject.Torn_write keep -> Bytes.sub wire 0 (min (max keep 0) (Bytes.length wire))
-  | _ -> wire
-
 let push ch site get set wire =
   ch.log <- wire :: ch.log;
   let enqueue w = set ch (get ch @ [ { delay = 0; wire = w } ]) in
@@ -188,7 +155,7 @@ let push ch site get set wire =
   | Some (Inject.Delay n) -> set ch (get ch @ [ { delay = max 1 n; wire } ])
   | Some Inject.Reorder -> set ch ({ delay = 0; wire } :: get ch)
   | Some ((Inject.Bit_flip _ | Inject.Torn_write _) as a) ->
-      let w = mangle a wire in
+      let w = Inject.mangle a wire in
       ch.log <- w :: ch.log;
       enqueue w
   | Some _ | None -> enqueue wire
@@ -218,7 +185,7 @@ let pop ch site get set =
           set ch (rest @ [ e ]);
           None
       | Some ((Inject.Bit_flip _ | Inject.Torn_write _) as a) ->
-          let w = mangle a e.wire in
+          let w = Inject.mangle a e.wire in
           ch.log <- w :: ch.log;
           Some w
       | Some _ | None -> Some e.wire)

@@ -53,12 +53,13 @@ val session_key : Vmm.t -> session:string -> bytes
     only [[A-Za-z0-9:._-]]. *)
 
 val encode : key:bytes -> session:string -> ?tid:int -> frame -> bytes
-(** Wire form: [MIGF1|session|kind|seq|len|tid\n] + payload + 32-byte HMAC
-    trailer over everything before it. [tid] (default 0 = none) is the
-    request trace id for causal cross-host tracing; as a header field it
-    sits under the MAC, so the OS cannot relabel a frame's request
-    without failing [Bad_mac]. Pure; cycle charging happens in the
-    sender/receiver wrappers. *)
+(** Wire form: an {!Envelope} with header [MIGF1|session|kind|seq|len|tid]
+    under the session key; an envelope that fails its MAC is [Bad_mac],
+    one that has no header line or the wrong fields is [Malformed]. [tid]
+    (default 0 = none) is the request trace id for causal cross-host
+    tracing; as a header field it sits under the MAC, so the OS cannot
+    relabel a frame's request without failing [Bad_mac]. Pure; cycle
+    charging happens in the sender/receiver wrappers. *)
 
 val decode : key:bytes -> session:string -> bytes -> (frame, reject) result
 

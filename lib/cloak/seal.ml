@@ -30,8 +30,8 @@ let check_layout layout =
     layout
 
 let render_regs (r : Transfer.regs) =
-  Printf.sprintf "%d|%d|%s" r.pc r.sp
-    (String.concat "," (List.map string_of_int (Array.to_list r.gp)))
+  [ string_of_int r.pc; string_of_int r.sp;
+    String.concat "," (List.map string_of_int (Array.to_list r.gp)) ]
 
 (* --- capture --- *)
 
@@ -93,10 +93,7 @@ and capture_body vmm ~resource ~regs ~layout ~read_page =
      exists, so a crash can lose the new checkpoint but never unstale an
      old one *)
   let gen = Vmm.bump_seal_generation vmm ~tag in
-  let buf = Buffer.create (256 + (List.length entries * (Addr.page_size + 80))) in
-  Buffer.add_string buf
-    (Printf.sprintf "%s|%s|%d|%d|%s|%s\n" magic tag gen (List.length entries)
-       (render_regs regs) layout);
+  let buf = Buffer.create (List.length entries * (Addr.page_size + 80)) in
   List.iter
     (fun (idx, (e : Metadata.entry), cipher) ->
       match cipher with
@@ -108,42 +105,22 @@ and capture_body vmm ~resource ~regs ~layout ~read_page =
           Vmm.charge_copy vmm ~bytes_count:Addr.page_size
       | None -> Buffer.add_string buf (Printf.sprintf "Z|%d\n" idx))
     images;
-  let body = Buffer.to_bytes buf in
-  let blob = Bytes.cat body (Oscrypto.Hmac.mac ~key:(Vmm.seal_key vmm) body) in
+  let blob =
+    Envelope.wrap ~key:(Vmm.seal_key vmm)
+      ([ magic; tag; string_of_int gen; string_of_int (List.length entries) ]
+      @ render_regs regs @ [ layout ])
+      (Buffer.to_bytes buf)
+  in
   (Vmm.counters vmm).seal_checkpoints <- (Vmm.counters vmm).seal_checkpoints + 1;
   Inject.Audit.record (Vmm.audit vmm) "seal capture resource=%s gen=%d pages=%d" tag
     gen (List.length entries);
   (* hostile world: the checkpoint's trip to (OS-visible) storage may tear
      or flip bits — unseal must catch both *)
   match Inject.fire_opt (Vmm.engine vmm) Inject.Seal_write with
-  | Some (Inject.Torn_write keep) -> Bytes.sub blob 0 (min keep (Bytes.length blob))
-  | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-      let b = Bytes.copy blob in
-      let i = off mod Bytes.length b in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      b
-  | Some _ | None -> blob
+  | Some action -> Inject.mangle action blob
+  | None -> blob
 
 (* --- unseal --- *)
-
-let of_hex s =
-  let digit c =
-    match c with
-    | '0' .. '9' -> Some (Char.code c - Char.code '0')
-    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-    | _ -> None
-  in
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let out = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some out else None
 
 let parse_regs ~pc ~sp ~gp =
   match (int_of_string_opt pc, int_of_string_opt sp) with
@@ -179,29 +156,21 @@ and unseal_body vmm blob =
   (* hostile world: the blob may have been corrupted at rest *)
   let blob =
     match Inject.fire_opt (Vmm.engine vmm) Inject.Restore with
-    | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-        let b = Bytes.copy blob in
-        let i = off mod Bytes.length b in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        b
-    | Some _ | None -> blob
+    | Some action -> Inject.mangle action blob
+    | None -> blob
   in
   let forged fmt = Vmm.violate vmm Violation.Metadata_forged fmt in
-  let total = Bytes.length blob in
-  if total < 32 then forged "sealed checkpoint truncated";
-  let body = Bytes.sub blob 0 (total - 32) in
-  let tag' = Bytes.sub blob (total - 32) 32 in
-  if not (Oscrypto.Hmac.verify ~key:(Vmm.seal_key vmm) ~tag:tag' body) then
-    forged "sealed checkpoint fails authentication";
-  (* everything below sits behind a valid VMM MAC, so a parse failure means
-     a bug, not an attack — but refusing loudly is still the right default *)
-  let header_end =
-    match Bytes.index_opt body '\n' with
-    | Some i -> i
-    | None -> forged "sealed checkpoint missing header"
+  (* everything past [unwrap] sits behind a valid VMM MAC, so a parse
+     failure means a bug, not an attack — but refusing loudly is still the
+     right default *)
+  let header, body =
+    match Envelope.unwrap ~key:(Vmm.seal_key vmm) blob with
+    | Ok v -> v
+    | Error `Bad_mac -> forged "sealed checkpoint fails authentication"
+    | Error `Malformed -> forged "sealed checkpoint missing header"
   in
   let resource, gen, npages, regs, layout =
-    match String.split_on_char '|' (Bytes.sub_string body 0 header_end) with
+    match header with
     | [ m; tag; gen; npages; pc; sp; gp; layout ] when m = magic -> (
         match
           (Resource.of_tag tag, int_of_string_opt gen, int_of_string_opt npages,
@@ -222,7 +191,7 @@ and unseal_body vmm blob =
       "sealed checkpoint for %s is stale (generation %d, latest sealed %d)" tag gen
       current;
   Vmm.restore_seal_generation vmm ~tag ~gen;
-  let pos = ref (header_end + 1) in
+  let pos = ref 0 in
   let line () =
     match Bytes.index_from_opt body !pos '\n' with
     | None -> forged "sealed checkpoint page records truncated"
@@ -236,7 +205,8 @@ and unseal_body vmm blob =
         match String.split_on_char '|' (line ()) with
         | [ "E"; idx; version; iv; mac ] -> (
             match
-              (int_of_string_opt idx, int_of_string_opt version, of_hex iv, of_hex mac)
+              (int_of_string_opt idx, int_of_string_opt version,
+               Oscrypto.Sha256.of_hex iv, Oscrypto.Sha256.of_hex mac)
             with
             | Some idx, Some version, Some iv, Some mac ->
                 if !pos + Addr.page_size > Bytes.length body then

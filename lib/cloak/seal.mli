@@ -9,10 +9,10 @@
     see). The whole blob is MAC'd under a dedicated VMM key and may then
     live in OS-visible storage.
 
-    Blob layout: [OVSCK1|tag|gen|npages|pc|sp|gp0,..|layout\n], then per
-    page either [E|idx|version|iv|mac\n] followed by one raw page of
-    ciphertext, or [Z|idx\n] for a never-touched page, then a 32-byte
-    HMAC trailer.
+    Blob layout: an {!Envelope} with header
+    [OVSCK1|tag|gen|npages|pc|sp|gp0,..|layout] whose payload holds, per
+    page, either [E|idx|version|iv|mac\n] followed by one raw page of
+    ciphertext, or [Z|idx\n] for a never-touched page.
 
     Freshness: each capture bumps the resource's {e seal generation},
     journaled write-ahead ({!Vmm.bump_seal_generation}). {!unseal}
@@ -63,7 +63,7 @@ val unseal : Vmm.t -> bytes -> restored
     truncation, and with [Stale_checkpoint] if the blob's generation is
     older than the resource's journal-anchored latest. On success the seal
     generation table absorbs the blob's generation. Subject to the
-    [Restore] injection site. *)
+    [Restore] injection site (torn or bit-flipped input). *)
 
 val install :
   ?consume:bool -> Vmm.t -> restored -> write_page:(int -> bytes -> unit) -> unit

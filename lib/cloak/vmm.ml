@@ -485,6 +485,13 @@ and encrypt_page_body ~reuse t resource idx (e : Metadata.entry) mpn =
     Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true
   end
 
+(* The one page-MAC check: does [cipher] authenticate as this version of
+   the page? Pure — callers keep their own counter bumps, charges and
+   trace events. *)
+let verify_cipher t ~resource ~idx ~version ~iv ~mac ~cipher =
+  Oscrypto.Hmac.verify ~key:t.mac_key ~tag:mac
+    (Metadata.mac_input ~resource ~idx ~version ~iv ~cipher)
+
 (* Does [cipher] match the entry's authenticated {iv,mac,version}? Used by
    checkpoint capture to refuse sealing a frame the (hostile) RAM tore or
    flipped after encryption — the blob may only ever hold bytes the VMM
@@ -493,8 +500,7 @@ let authenticate_cipher t resource idx (e : Metadata.entry) ~cipher =
   t.counters.hash_checks <- t.counters.hash_checks + 1;
   Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
   let ok =
-    Oscrypto.Hmac.verify ~key:t.mac_key ~tag:e.mac
-      (Metadata.mac_input ~resource ~idx ~version:e.version ~iv:e.iv ~cipher)
+    verify_cipher t ~resource ~idx ~version:e.version ~iv:e.iv ~mac:e.mac ~cipher
   in
   if ok then
     Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~site:(rtag t resource)
@@ -517,18 +523,14 @@ and decrypt_page_body t resource idx (e : Metadata.entry) mpn =
   let cipher = Bytes.copy (page_bytes t mpn) in
   t.counters.hash_checks <- t.counters.hash_checks + 1;
   Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
-  let input =
-    Metadata.mac_input ~resource ~idx ~version:e.version ~iv:e.iv ~cipher
-  in
-  if not (Oscrypto.Hmac.verify ~key:t.mac_key ~tag:e.mac input) then begin
+  if not (verify_cipher t ~resource ~idx ~version:e.version ~iv:e.iv ~mac:e.mac ~cipher)
+  then begin
     (* distinguish a replayed stale ciphertext (authenticates under the
        *retired* triple) from plain corruption: both are refused, but the
        audit trail names the attack *)
     let replayed =
       match Hashtbl.find_opt t.retired (Resource.tag resource, idx) with
-      | Some (rv, riv, rmac) ->
-          Oscrypto.Hmac.verify ~key:t.mac_key ~tag:rmac
-            (Metadata.mac_input ~resource ~idx ~version:rv ~iv:riv ~cipher)
+      | Some (version, iv, mac) -> verify_cipher t ~resource ~idx ~version ~iv ~mac ~cipher
       | None -> false
     in
     if replayed then
@@ -904,10 +906,11 @@ let clone_cloaked t ~src_asid ~dst_asid =
                   let cipher = Bytes.copy (page_bytes t mpn) in
                   t.counters.hash_checks <- t.counters.hash_checks + 1;
                   Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
-                  let input =
-                    Metadata.mac_input ~resource:src ~idx ~version:e.version ~iv:e.iv ~cipher
+                  let ok =
+                    verify_cipher t ~resource:src ~idx ~version:e.version ~iv:e.iv
+                      ~mac:e.mac ~cipher
                   in
-                  if not (Oscrypto.Hmac.verify ~key:t.mac_key ~tag:e.mac input) then
+                  if not ok then
                     violate t ~resource:src Integrity
                       "fork: copied page %d of %s fails authentication" idx
                       (Resource.tag src);
@@ -934,10 +937,7 @@ let export_metadata t resource ~pages ~logical_size =
   | Some j ->
       Journal.record j (Generation { id; gen = generation; size = logical_size; pages })
   | None -> ());
-  let buf = Buffer.create (64 + (pages * 57)) in
-  Buffer.add_string buf
-    (Printf.sprintf "%s|%s|%d|%d|%d\n" blob_magic (Resource.tag resource) generation
-       logical_size pages);
+  let buf = Buffer.create (pages * 65) in
   for idx = 0 to pages - 1 do
     match Metadata.find t.meta resource idx with
     | Some ({ state = Encrypted; _ } as e) ->
@@ -950,13 +950,17 @@ let export_metadata t resource ~pages ~logical_size =
         Buffer.add_string buf (String.make 16 '0');
         Buffer.add_string buf (String.make 48 '\000')
   done;
-  let body = Buffer.to_bytes buf in
-  let tag = Oscrypto.Hmac.mac ~key:t.mac_key body in
-  let blob = Bytes.cat body tag in
-  (* hostile world: the write of the blob to stable storage may tear *)
+  let blob =
+    Envelope.wrap ~key:t.mac_key
+      [ blob_magic; Resource.tag resource; string_of_int generation;
+        string_of_int logical_size; string_of_int pages ]
+      (Buffer.to_bytes buf)
+  in
+  (* hostile world: the write of the blob to stable storage may tear or
+     flip bits *)
   match Inject.fire_opt t.engine Inject.Meta_export with
-  | Some (Inject.Torn_write keep) -> Bytes.sub blob 0 (min keep (Bytes.length blob))
-  | Some _ | None -> blob
+  | Some action -> Inject.mangle action blob
+  | None -> blob
 
 type imported = { resource : Resource.t; logical_size : int; pages : int }
 
@@ -964,27 +968,17 @@ let import_metadata t blob =
   (* hostile world: the blob may have been corrupted at rest *)
   let blob =
     match Inject.fire_opt t.engine Inject.Meta_import with
-    | Some (Inject.Bit_flip off) when Bytes.length blob > 0 ->
-        let b = Bytes.copy blob in
-        let i = off mod Bytes.length b in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-        b
-    | Some _ | None -> blob
+    | Some action -> Inject.mangle action blob
+    | None -> blob
   in
-  let total = Bytes.length blob in
-  if total < 32 then violate t Metadata_forged "metadata blob truncated";
-  let body = Bytes.sub blob 0 (total - 32) in
-  let tag = Bytes.sub blob (total - 32) 32 in
-  if not (Oscrypto.Hmac.verify ~key:t.mac_key ~tag body) then
-    violate t Metadata_forged "metadata blob fails authentication";
-  let header_end =
-    match Bytes.index_opt body '\n' with
-    | Some i -> i
-    | None -> violate t Metadata_forged "metadata blob missing header"
+  let header, body =
+    match Envelope.unwrap ~key:t.mac_key blob with
+    | Ok v -> v
+    | Error `Bad_mac -> violate t Metadata_forged "metadata blob fails authentication"
+    | Error `Malformed -> violate t Metadata_forged "metadata blob missing header"
   in
-  let header = Bytes.sub_string body 0 header_end in
   let id, generation, logical_size, pages =
-    match String.split_on_char '|' header with
+    match header with
     | [ magic; tag'; generation; size; pages ] when magic = blob_magic -> (
         match String.split_on_char ':' tag' with
         | [ "shm"; id ] ->
@@ -1014,7 +1008,7 @@ let import_metadata t blob =
         Journal.record j (Generation { id; gen = generation; size = logical_size; pages })
   | None -> ());
   Metadata.drop_resource t.meta resource;
-  let pos = ref (header_end + 1) in
+  let pos = ref 0 in
   for idx = 0 to pages - 1 do
     let flag = Bytes.get body !pos in
     let version = int_of_string ("0x" ^ Bytes.sub_string body (!pos + 1) 16) in
@@ -1061,10 +1055,6 @@ let import_metadata t blob =
    After a simulated power cut the crash harness rebuilds a VMM from the
    same seed (so page_key/mac_key re-derive identically) and lets
    [Recovery.replay] reinstall what the journal proves survived. *)
-
-let verify_cipher t ~resource ~idx ~version ~iv ~mac ~cipher =
-  Oscrypto.Hmac.verify ~key:t.mac_key ~tag:mac
-    (Metadata.mac_input ~resource ~idx ~version ~iv ~cipher)
 
 let restore_entry t ~resource ~idx ~version ~iv ~mac =
   let e = Metadata.find_or_add t.meta resource idx in

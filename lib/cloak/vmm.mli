@@ -182,15 +182,19 @@ val clone_cloaked : t -> src_asid:int -> dst_asid:int -> unit
 
 val export_metadata : t -> Resource.t -> pages:int -> logical_size:int -> bytes
 (** Seal the resource and serialize its per-page metadata, authenticated by
-    the VMM secret and stamped with a freshness generation. The blob is
-    safe to store in an ordinary (OS-visible) file. *)
+    the VMM secret and stamped with a freshness generation. The blob is an
+    {!Envelope} with header [OVSHM1|tag|generation|logical_size|pages]
+    and one fixed 65-byte cell per page, safe to store in an ordinary
+    (OS-visible) file. Subject to the [Meta_export] injection site (torn
+    or bit-flipped output). *)
 
 type imported = { resource : Resource.t; logical_size : int; pages : int }
 
 val import_metadata : t -> bytes -> imported
 (** Verify and install an exported metadata blob. Raises
     {!Violation.Security_fault} with [Metadata_forged] on tampering or on
-    replay of a stale generation. *)
+    replay of a stale generation. Subject to the [Meta_import] injection
+    site (torn or bit-flipped input). *)
 
 (** {1 Crash-consistent metadata journal}
 
@@ -236,7 +240,9 @@ val verify_cipher :
   t -> resource:Resource.t -> idx:int -> version:int -> iv:bytes -> mac:bytes ->
   cipher:bytes -> bool
 (** Whether [cipher] authenticates as the given version of the page under
-    this VMM's MAC key — the committed/torn test at recovery time. *)
+    this VMM's MAC key — the one page-MAC check: decryption, fork,
+    checkpoint capture and the committed/torn test at recovery time all
+    go through it. Pure: charges nothing. *)
 
 val restore_entry :
   t -> resource:Resource.t -> idx:int -> version:int -> iv:bytes -> mac:bytes -> unit

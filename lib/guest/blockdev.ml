@@ -136,13 +136,9 @@ and write_block_body t b ~ppn =
          recovery re-verifies the bytes instead of trusting them *)
       match action with
       | Some Inject.Reorder -> t.pending_reorder <- Some (b, data)
-      | Some (Inject.Torn_write keep) ->
-          Bytes.blit data 0 t.store.(b) 0 (max 0 (min keep Addr.page_size))
-      | Some (Inject.Bit_flip off) ->
-          let d = Bytes.copy data in
-          let i = off mod Addr.page_size in
-          Bytes.set d i (Char.chr (Char.code (Bytes.get d i) lxor 1));
-          Bytes.blit d 0 t.store.(b) 0 Addr.page_size
+      | Some ((Inject.Torn_write _ | Inject.Bit_flip _) as a) ->
+          let d = Inject.mangle a data in
+          Bytes.blit d 0 t.store.(b) 0 (Bytes.length d)
       | Some Inject.Crash_point ->
           (* power cut mid-DMA: half the payload lands, then the lights go
              out — the canonical torn page recovery must quarantine *)

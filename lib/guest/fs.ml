@@ -209,19 +209,13 @@ let size t id = (inode t id).size
 
 (* --- page cache --- *)
 
-(* Transient device errors get the shared bounded retry-with-backoff
-   policy, under the shared cycle deadline so a device that fails forever
-   degrades to EIO in bounded time instead of stalling the caller. *)
-let with_disk_retry t f =
-  Retry.disk ~deadline_cycles:(Retry.io_deadline_cycles t.vmm) t.vmm f
-
 let cache_page t ino idx =
   match Hashtbl.find_opt t.cache (ino.id, idx) with
   | Some entry -> entry
   | None ->
       let ppn = t.alloc_ppn () in
       (match Hashtbl.find_opt ino.blocks idx with
-      | Some block -> with_disk_retry t (fun () -> Blockdev.read_block t.dev block ~ppn)
+      | Some block -> Retry.disk t.vmm (fun () -> Blockdev.read_block t.dev block ~ppn)
       | None ->
           (* hole: fresh zero page *)
           Cloak.Vmm.phys_write t.vmm ppn ~off:0 (Bytes.make Addr.page_size '\000'));
@@ -339,11 +333,11 @@ let writeback_entry t (id, idx) entry =
            detected as torn instead of silently served *)
         let dev = Blockdev.name t.dev in
         Cloak.Vmm.journal_file_intent t.vmm ~resource ~idx ~dev ~block;
-        with_disk_retry t (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
+        Retry.disk t.vmm (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
         Cloak.Vmm.journal_file_commit t.vmm ~resource ~idx ~dev ~block;
         entry.dirty <- false
     | None ->
-        with_disk_retry t (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
+        Retry.disk t.vmm (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
         entry.dirty <- false
   end
 

@@ -159,12 +159,6 @@ let proc_count t = Hashtbl.length t.procs
 
 (* --- guest physical page pool with swap-backed eviction --- *)
 
-(* Transient swap-device errors get the same bounded retry-with-backoff as
-   the filesystem's page cache, under the shared cycle deadline so even a
-   swap device that fails forever degrades to EIO in bounded time. *)
-let swap_retry t f =
-  Retry.disk ~deadline_cycles:(Retry.io_deadline_cycles t.vmm) t.vmm f
-
 let release_guest_page t ppn =
   Cloak.Vmm.release_ppn t.vmm ppn;
   t.free_ppns <- ppn :: t.free_ppns
@@ -200,7 +194,7 @@ and evict_one t =
    so a cloaked plaintext page is encrypted before it ever reaches swap. *)
 and swap_out t proc vpn (pte : Page_table.pte) =
   let block = Blockdev.alloc_block t.swap in
-  swap_retry t (fun () -> Blockdev.write_block t.swap block ~ppn:pte.ppn);
+  Retry.disk t.vmm (fun () -> Blockdev.write_block t.swap block ~ppn:pte.ppn);
   Page_table.unmap proc.pt vpn;
   Cloak.Vmm.invlpg t.vmm ~asid:(Page_table.asid proc.pt) ~vpn;
   release_guest_page t pte.ppn;
@@ -215,7 +209,7 @@ let map_user_page t proc vpn =
 let swap_in t proc vpn =
   let block = Hashtbl.find proc.swap_map vpn in
   let ppn = map_user_page t proc vpn in
-  swap_retry t (fun () -> Blockdev.read_block t.swap block ~ppn);
+  Retry.disk t.vmm (fun () -> Blockdev.read_block t.swap block ~ppn);
   Blockdev.free_block t.swap block;
   Hashtbl.remove proc.swap_map vpn
 
@@ -257,7 +251,7 @@ let create ?(config = default_config) vmm =
         Cloak.Journal.blocks = config.journal_blocks;
         block_size = Addr.page_size;
         read = (fun b -> Blockdev.peek t.disk b);
-        write = (fun b data -> swap_retry t (fun () -> Blockdev.write_raw t.disk b data));
+        write = (fun b data -> Retry.disk t.vmm (fun () -> Blockdev.write_raw t.disk b data));
       }
     in
     ignore (Cloak.Vmm.attach_journal ~ckpt_every:config.journal_ckpt_every vmm ~store)
@@ -403,26 +397,28 @@ let spawn t ?(cloaked = false) prog =
   enqueue t proc;
   proc.pid
 
+let supervision ~policy ~prog ~checkpoint =
+  {
+    policy;
+    prog;
+    restarts = 0;
+    broken = false;
+    checkpoint;
+    prev_checkpoint = None;
+    checkpoints = 0;
+    syscalls_since = 0;
+    recovery_cycles = 0;
+    respawning = false;
+    kill_statuses = [];
+    migration = None;
+    migrations_attempted = 0;
+    migrations_completed = 0;
+    migrations_aborted = 0;
+  }
+
 let spawn_supervised t ?(policy = default_policy) prog =
   let pid = spawn t ~cloaked:true prog in
-  Hashtbl.replace t.supervised pid
-    {
-      policy;
-      prog;
-      restarts = 0;
-      broken = false;
-      checkpoint = None;
-      prev_checkpoint = None;
-      checkpoints = 0;
-      syscalls_since = 0;
-      recovery_cycles = 0;
-      respawning = false;
-      kill_statuses = [];
-      migration = None;
-      migrations_attempted = 0;
-      migrations_completed = 0;
-      migrations_aborted = 0;
-    };
+  Hashtbl.replace t.supervised pid (supervision ~policy ~prog ~checkpoint:None);
   pid
 
 (* --- wakeups --- *)
@@ -486,6 +482,40 @@ let free_all_memory t proc =
   Page_table.iter proc.pt (fun vpn _ -> vpns := vpn :: !vpns);
   List.iter (Page_table.unmap proc.pt) !vpns
 
+(* --- restore from a sealed checkpoint --- *)
+
+(* Turn a fresh incarnation into the one an unsealed checkpoint describes
+   (same idiom as fork: drop the default cloaked ranges, rebuild the
+   layout, re-cloak), reinstall its ciphertext through the kernel's
+   physical view and resume its registers. A fresh frame takes the raw
+   bytes; the next App-view touch decrypts and verifies against the
+   restored metadata. Respawn restores with [~consume:false]; adoption
+   consumes the blob's generation. *)
+let install_image t proc restored ~consume =
+  List.iter
+    (fun (a : area) ->
+      if a.cloaked_area && a.pages > 0 then
+        Cloak.Vmm.uncloak_range t.vmm ~asid:proc.pid ~start_vpn:a.start_vpn)
+    proc.areas;
+  (match parse_layout restored.Cloak.Seal.layout with
+  | Some (brk_vpn, mmap_next, areas) ->
+      proc.areas <- areas;
+      proc.brk_vpn <- brk_vpn;
+      proc.mmap_next <- mmap_next
+  | None -> ());
+  List.iter (cloak_area t proc) proc.areas;
+  let write_page vpn cipher =
+    let ppn =
+      match Page_table.lookup proc.pt vpn with
+      | Some pte -> pte.ppn
+      | None -> map_user_page t proc vpn
+    in
+    Cloak.Vmm.phys_write t.vmm ppn ~off:0 cipher
+  in
+  Cloak.Seal.install ~consume t.vmm restored ~write_page;
+  proc.regs <- Cloak.Transfer.copy_regs restored.Cloak.Seal.regs;
+  proc.env.restored <- true
+
 (* --- supervised restart --- *)
 
 (* Respawn a supervised cloaked process after a fatal kill. The old
@@ -522,37 +552,7 @@ let rec respawn t pid sup status =
        bounds the recursion. *)
     let construct restored_opt =
       let proc = alloc_proc ~pid t ~parent:0 ~cloaked:true in
-      (match restored_opt with
-      | None -> ()
-      | Some restored ->
-          (* rebuild the layout the checkpoint describes (same idiom as
-             fork: drop the default cloaked ranges, then re-cloak) *)
-          List.iter
-            (fun (a : area) ->
-              if a.cloaked_area && a.pages > 0 then
-                Cloak.Vmm.uncloak_range t.vmm ~asid:pid ~start_vpn:a.start_vpn)
-            proc.areas;
-          (match parse_layout restored.Cloak.Seal.layout with
-          | Some (brk_vpn, mmap_next, areas) ->
-              proc.areas <- areas;
-              proc.brk_vpn <- brk_vpn;
-              proc.mmap_next <- mmap_next
-          | None -> ());
-          List.iter (cloak_area t proc) proc.areas;
-          (* reinstall ciphertext through the kernel's physical view: a
-             fresh frame takes the raw bytes; the next App-view touch
-             decrypts and verifies against the restored metadata *)
-          let write_page vpn cipher =
-            let ppn =
-              match Page_table.lookup proc.pt vpn with
-              | Some pte -> pte.ppn
-              | None -> map_user_page t proc vpn
-            in
-            Cloak.Vmm.phys_write t.vmm ppn ~off:0 cipher
-          in
-          Cloak.Seal.install t.vmm restored ~write_page;
-          proc.regs <- Cloak.Transfer.copy_regs restored.Cloak.Seal.regs;
-          proc.env.restored <- true);
+      Option.iter (fun r -> install_image t proc r ~consume:false) restored_opt;
       proc.env.incarnation <- sup.restarts;
       proc.task <- Some (Start sup.prog);
       enqueue t proc
@@ -1112,49 +1112,9 @@ let adopt_migrated t ?(policy = default_policy) ~prog blob =
   (* the adopted pid came from the source; fresh spawns here must not
      collide with it *)
   if pid >= t.next_pid then t.next_pid <- pid + 1;
-  List.iter
-    (fun (a : area) ->
-      if a.cloaked_area && a.pages > 0 then
-        Cloak.Vmm.uncloak_range t.vmm ~asid:pid ~start_vpn:a.start_vpn)
-    proc.areas;
-  (match parse_layout restored.Cloak.Seal.layout with
-  | Some (brk_vpn, mmap_next, areas) ->
-      proc.areas <- areas;
-      proc.brk_vpn <- brk_vpn;
-      proc.mmap_next <- mmap_next
-  | None -> ());
-  List.iter (cloak_area t proc) proc.areas;
-  let write_page vpn cipher =
-    let ppn =
-      match Page_table.lookup proc.pt vpn with
-      | Some pte -> pte.ppn
-      | None -> map_user_page t proc vpn
-    in
-    Cloak.Vmm.phys_write t.vmm ppn ~off:0 cipher
-  in
-  Cloak.Seal.install ~consume:true t.vmm restored ~write_page;
-  proc.regs <- Cloak.Transfer.copy_regs restored.Cloak.Seal.regs;
-  proc.env.restored <- true;
+  install_image t proc restored ~consume:true;
   proc.env.incarnation <- 1;
-  let sup =
-    {
-      policy;
-      prog;
-      restarts = 0;
-      broken = false;
-      checkpoint = Some blob;
-      prev_checkpoint = None;
-      checkpoints = 0;
-      syscalls_since = 0;
-      recovery_cycles = 0;
-      respawning = false;
-      kill_statuses = [];
-      migration = None;
-      migrations_attempted = 0;
-      migrations_completed = 0;
-      migrations_aborted = 0;
-    }
-  in
+  let sup = supervision ~policy ~prog ~checkpoint:(Some blob) in
   Hashtbl.replace t.supervised pid sup;
   (try ignore (capture_checkpoint t proc sup)
    with Errno.Error _ ->

@@ -34,22 +34,12 @@ let with_backoff ?deadline_cycles ?jitter ~limit ~retryable ~charge ~base_cost
   in
   go 0
 
-let io_retry_limit = 3
-
-(* Hard ceiling on the cumulative backoff the disk instance may charge.
-   A full limit-3 exhaustion costs 15 × disk_op (1+2+4+8), so 16 × disk_op
-   never binds on the fault-free or environmental-fault paths — but a
-   hostile kernel feeding the guest eternal EIO (or a future caller raising
-   the limit) degrades within a bounded cycle budget instead of stalling
-   the cloaked process at the device's pleasure. *)
-let io_deadline_cycles vmm = 16 * (Cost.model (Cloak.Vmm.cost vmm)).disk_op
-
-let disk ?deadline_cycles ?jitter vmm f =
-  with_backoff ?deadline_cycles ?jitter ~limit:io_retry_limit
+let disk vmm f =
+  let disk_op = (Cost.model (Cloak.Vmm.cost vmm)).disk_op in
+  with_backoff ~deadline_cycles:(16 * disk_op) ~limit:3
     ~retryable:(function Blockdev.Io_error _ -> true | _ -> false)
     ~charge:(fun ~cycles ->
       let c = Cloak.Vmm.counters vmm in
       c.io_retries <- c.io_retries + 1;
       Cloak.Vmm.charge vmm cycles)
-    ~base_cost:(Cost.model (Cloak.Vmm.cost vmm)).disk_op
-    ~exhausted:(Errno.Error EIO) f
+    ~base_cost:disk_op ~exhausted:(Errno.Error EIO) f

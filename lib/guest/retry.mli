@@ -38,23 +38,14 @@ val with_backoff :
     total past the deadline, [exhausted] is raised even if attempts
     remain. Omitting both leaves the historical behaviour byte-identical. *)
 
-val io_retry_limit : int
-(** Retries granted to transient device errors before EIO (3). *)
+val disk : Cloak.Vmm.t -> (unit -> 'a) -> 'a
+(** The guest's device-I/O instance: retries {!Blockdev.Io_error} up to 3
+    times, charging idle disk waits ([disk_op * 2^a]) and bumping the
+    [io_retries] counter once per failure, then raises [Errno.Error EIO].
+    A failed DMA has no effect, so the retry is always safe.
 
-val io_deadline_cycles : Cloak.Vmm.t -> int
-(** The default cumulative-backoff ceiling for guest device retries
-    (16 × the cost model's [disk_op]). Strictly above the 15 × [disk_op] a
-    full {!io_retry_limit} exhaustion charges, so passing it to {!disk}
-    never changes fault-free behaviour — it exists so a hostile kernel
-    returning eternal [EIO] yields a typed, bounded degradation rather
-    than an unbounded stall of the cloaked process. *)
-
-val disk :
-  ?deadline_cycles:int -> ?jitter:Oscrypto.Prng.t -> Cloak.Vmm.t ->
-  (unit -> 'a) -> 'a
-(** The guest's device-I/O instance: retries {!Blockdev.Io_error} up to
-    {!io_retry_limit} times, charging idle disk waits ([disk_op * 2^a])
-    and bumping the [io_retries] counter once per failure, then raises
-    [Errno.Error EIO]. A failed DMA has no effect, so the retry is always
-    safe. [?deadline_cycles] / [?jitter] pass through to
-    {!with_backoff}. *)
+    The cumulative backoff is capped at 16 × [disk_op]. A full exhaustion
+    costs 15 × [disk_op] (1+2+4+8), so the cap never binds on the
+    fault-free or environmental-fault paths — but a hostile kernel
+    feeding the guest eternal EIO degrades within a bounded cycle budget
+    instead of stalling the cloaked process at the device's pleasure. *)

@@ -89,6 +89,16 @@ let action_to_string = function
   | Duplicate -> "duplicate"
   | Delay n -> Printf.sprintf "delay/%d" n
 
+let mangle action data =
+  match action with
+  | Bit_flip off when Bytes.length data > 0 ->
+      let b = Bytes.copy data in
+      let i = off mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      b
+  | Torn_write keep -> Bytes.sub data 0 (max 0 (min keep (Bytes.length data)))
+  | _ -> data
+
 exception Vmm_crash of string
 
 let crashed site = raise (Vmm_crash (site_to_string site))

@@ -68,6 +68,13 @@ type action =
 
 val action_to_string : action -> string
 
+val mangle : action -> bytes -> bytes
+(** The one tamper model for bytes in the OS's hands (a DMA payload, a
+    device block, a stored blob, a frame in flight): [Bit_flip off] flips
+    the low bit of byte [off mod length] in a copy, [Torn_write n] keeps
+    the first [n] bytes, and any other action — or a bit-flip of empty
+    bytes — returns the input. *)
+
 exception Vmm_crash of string
 (** The simulated power cut, carrying the site name it fired at. Raised by
     a layer that draws {!Crash_point}; deliberately NOT caught by the guest

@@ -95,14 +95,8 @@ let read t mpn ~off ~len =
    bytes actually reaching the page. *)
 let mangle t data =
   match Inject.fire_opt t.engine Inject.Phys_write with
-  | Some (Inject.Bit_flip off) when Bytes.length data > 0 ->
-      let data = Bytes.copy data in
-      let off = off mod Bytes.length data in
-      Bytes.set data off (Char.chr (Char.code (Bytes.get data off) lxor 1));
-      data
-  | Some (Inject.Torn_write keep) when Bytes.length data > 0 ->
-      Bytes.sub data 0 (min keep (Bytes.length data))
-  | Some _ | None -> data
+  | Some action -> Inject.mangle action data
+  | None -> data
 
 let write t mpn ~off data =
   let b = backing t mpn in

@@ -148,3 +148,22 @@ let hex d =
   let b = Buffer.create (2 * Bytes.length d) in
   Bytes.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) d;
   Buffer.contents b
+
+let of_hex s =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | _ -> None
+  in
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else
+    let out = Bytes.create (n / 2) in
+    let ok = ref true in
+    for i = 0 to (n / 2) - 1 do
+      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
+      | Some hi, Some lo -> Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
+      | _ -> ok := false
+    done;
+    if !ok then Some out else None

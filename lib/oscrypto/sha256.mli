@@ -25,3 +25,7 @@ val digest_string : string -> bytes
 
 val hex : bytes -> string
 (** Lowercase hexadecimal rendering of a digest. *)
+
+val of_hex : string -> bytes option
+(** Inverse of {!hex}: [None] on an odd length or on any character that is
+    not a lowercase hexadecimal digit. *)

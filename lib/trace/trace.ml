@@ -184,12 +184,6 @@ type t = {
   mutable cur : ctx;
   hists : (kind, Hist.h) Hashtbl.t;
   open_spans : (kind, int list) Hashtbl.t;  (* per-kind enter-cycle stacks *)
-  mutable span_stack : (kind * string) list;
-      (* the global open-span stack, innermost first: which nested context
-         the next event lands in. Threaded by enter/exit/abort so a
-         re-reader (the profiler) can sanity-check nesting without
-         replaying the stream itself. *)
-  mutable last_cycles : int;  (* clock at the most recent recorded event *)
 }
 
 let dummy =
@@ -208,8 +202,6 @@ let null =
     cur = Kernel;
     hists = Hashtbl.create 1;
     open_spans = Hashtbl.create 1;
-    span_stack = [];
-    last_cycles = 0;
   }
 
 let ring ?(cap = default_cap) () =
@@ -225,29 +217,14 @@ let ring ?(cap = default_cap) () =
     cur = Kernel;
     hists = Hashtbl.create 31;
     open_spans = Hashtbl.create 31;
-    span_stack = [];
-    last_cycles = 0;
   }
 
 let enabled t = t.live
 let set_clock t f = if t.live then t.clock <- f
 let set_ctx t c = if t.live then t.cur <- c
-let current_ctx t = t.cur
 let count t = t.total
 let dropped t = t.total - t.len
 let capacity t = t.cap
-
-let reset t =
-  if t.live then begin
-    t.start <- 0;
-    t.len <- 0;
-    t.total <- 0;
-    Array.fill t.buf 0 t.cap dummy;
-    Hashtbl.reset t.hists;
-    Hashtbl.reset t.open_spans;
-    t.span_stack <- [];
-    t.last_cycles <- 0
-  end
 
 let push t ev =
   if t.len < t.cap then begin
@@ -258,8 +235,7 @@ let push t ev =
     t.buf.(t.start) <- ev;
     t.start <- (t.start + 1) mod t.cap
   end;
-  t.total <- t.total + 1;
-  if ev.cycles > t.last_cycles then t.last_cycles <- ev.cycles
+  t.total <- t.total + 1
 
 let events t =
   List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
@@ -273,22 +249,6 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun ev -> acc := f !acc ev);
   !acc
-
-let open_stack t = t.span_stack
-let open_depth t = List.length t.span_stack
-let last_cycles t = t.last_cycles
-
-(* Remove the innermost frame of [kind] from the global stack; frames
-   above it (dangling enters whose spans were aborted by an exception)
-   are discarded with it — they can never be exited again. *)
-let stack_pop t kind =
-  let rec drop = function
-    | (k, _) :: rest when k = kind -> rest
-    | _ :: rest -> drop rest
-    | [] -> []
-  in
-  if List.exists (fun (k, _) -> k = kind) t.span_stack then
-    t.span_stack <- drop t.span_stack
 
 let record t phase ctx page pid site aux kind =
   push t
@@ -311,7 +271,6 @@ let span_enter t ?ctx ?(page = -1) ?(pid = -1) ?(site = "") ?(aux = 0) kind =
     let stack = try Hashtbl.find t.open_spans kind with Not_found -> [] in
     let now = t.clock () in
     Hashtbl.replace t.open_spans kind (now :: stack);
-    t.span_stack <- (kind, site) :: t.span_stack;
     push t
       { kind; phase = Enter; cycles = now;
         ctx = (match ctx with Some c -> c | None -> t.cur); page; pid; site; aux }
@@ -333,7 +292,6 @@ let span_exit t ?ctx ?(page = -1) ?(pid = -1) ?(site = "") ?(aux = 0) kind =
         Hashtbl.replace t.open_spans kind rest;
         Hist.add (hist_for t kind) (now - entered)
     | Some [] | None -> ());
-    stack_pop t kind;
     push t
       { kind; phase = Exit; cycles = now;
         ctx = (match ctx with Some c -> c | None -> t.cur); page; pid; site; aux }
@@ -344,7 +302,6 @@ let span_abort t kind =
     (match Hashtbl.find_opt t.open_spans kind with
     | Some (_ :: rest) -> Hashtbl.replace t.open_spans kind rest
     | Some [] | None -> ());
-    stack_pop t kind;
     push t
       { kind; phase = Abort; cycles = t.clock (); ctx = t.cur; page = -1;
         pid = -1; site = ""; aux = 0 }

@@ -95,8 +95,6 @@ val set_ctx : t -> ctx -> unit
 (** Announce the active context; subsequent events without an explicit
     [?ctx] carry it. No-op on {!null}. *)
 
-val current_ctx : t -> ctx
-
 (** {1 Emission} *)
 
 val emit :
@@ -141,20 +139,6 @@ val iter : t -> (event -> unit) -> unit
     fold the stream more than once. *)
 
 val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
-
-val open_stack : t -> (kind * string) list
-(** The global open-span context stack, innermost first, as threaded by
-    {!span_enter} / {!span_exit} / {!span_abort}: each frame is the span's
-    kind and site. Empty after a run that closed every span — a non-empty
-    stack means an enter is dangling (its span was unwound without an
-    abort), which a hierarchical attribution should surface. *)
-
-val open_depth : t -> int
-
-val last_cycles : t -> int
-(** The clock stamp of the most recent recorded event (0 if none). *)
-
-val reset : t -> unit
 
 (** {1 Latency histograms}
 

@@ -183,10 +183,48 @@ let prop_deterministic =
       let _, c2, _ = run_sequence ~cloaked:true ops in
       c1 = c2)
 
+(* --- the authenticated envelope every OS-visible VMM blob travels in --- *)
+
+let envelope_key = Bytes.of_string "envelope-fuzz-key"
+
+let field_gen =
+  QCheck.Gen.(
+    map (String.map (fun c -> if c = '|' || c = '\n' then '_' else c))
+      (string_size (int_range 0 12)))
+
+let envelope_arb =
+  QCheck.make
+    ~print:(fun (fields, payload, flip) ->
+      Printf.sprintf "fields=%S payload=%d bytes flip=%d"
+        (String.concat "|" fields) (String.length payload) flip)
+    QCheck.Gen.(triple (list_size (int_range 1 6) field_gen) (string_size (int_range 0 300)) nat)
+
+(* [unwrap] is the first code to parse an OS-held blob, so it must give
+   back exactly what was wrapped and refuse, without raising, every
+   truncation and a flip of any single bit. *)
+let prop_envelope =
+  QCheck.Test.make ~name:"envelope: round trip, every truncation and a bit flip refused"
+    ~count:200 ~long_factor:50 envelope_arb
+    (fun (fields, payload, flip) ->
+      let payload = Bytes.of_string payload in
+      let blob = Cloak.Envelope.wrap ~key:envelope_key fields payload in
+      let refused b =
+        match Cloak.Envelope.unwrap ~key:envelope_key b with Error _ -> true | Ok _ -> false
+      in
+      let flipped =
+        let b = Bytes.copy blob and i = flip mod Bytes.length blob in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (flip mod 8))));
+        b
+      in
+      Cloak.Envelope.unwrap ~key:envelope_key blob = Ok (fields, payload)
+      && List.for_all (fun n -> refused (Bytes.sub blob 0 n)) (List.init (Bytes.length blob) Fun.id)
+      && refused flipped)
+
 let () =
   Alcotest.run "fuzz"
     [
       ( "syscall sequences",
         List.map QCheck_alcotest.to_alcotest
           [ prop_native_never_crashes; prop_cloaked_never_crashes; prop_deterministic ] );
+      ("envelope", [ QCheck_alcotest.to_alcotest prop_envelope ]);
     ]

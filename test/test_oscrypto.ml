@@ -4,9 +4,7 @@
 
 open Oscrypto
 
-let hex_to_bytes s =
-  let n = String.length s / 2 in
-  Bytes.init n (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+let hex_to_bytes s = Option.get (Sha256.of_hex s)
 
 let check_hex = Alcotest.(check string)
 
@@ -50,6 +48,13 @@ let test_sha_length_boundaries () =
       (Sha256.hex (Sha256.digest data))
       (Sha256.hex (Sha256.finalize t))
   done
+
+let test_of_hex_refuses () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S refused" s) true (Sha256.of_hex s = None))
+    [ "a"; "abc"; "0A"; "AB"; "0g"; "g0"; "0x"; " 0"; "00\n" ];
+  Alcotest.(check bool) "empty decodes to empty" true (Sha256.of_hex "" = Some Bytes.empty)
 
 (* --- AES --- *)
 
@@ -157,6 +162,10 @@ let prop_sha_incremental =
       Sha256.feed t data ~pos:cut ~len:(Bytes.length data - cut);
       Bytes.equal (Sha256.finalize t) (Sha256.digest data))
 
+let prop_of_hex_inverts_hex =
+  QCheck.Test.make ~name:"of_hex inverts hex" ~count:200 bytes_arb (fun data ->
+      Sha256.of_hex (Sha256.hex data) = Some data)
+
 let prop_distinct_iv_distinct_ct =
   QCheck.Test.make ~name:"distinct IVs give distinct ciphertexts" ~count:100
     QCheck.small_int
@@ -179,6 +188,7 @@ let () =
           quick "two blocks" test_sha_two_blocks;
           quick "million a (slow path)" test_sha_million_a;
           quick "padding boundaries" test_sha_length_boundaries;
+          quick "of_hex refuses bad input" test_of_hex_refuses;
         ] );
       ( "aes",
         [
@@ -204,6 +214,7 @@ let () =
             prop_ctr_involution;
             prop_ctr_changes_data;
             prop_sha_incremental;
+            prop_of_hex_inverts_hex;
             prop_distinct_iv_distinct_ct;
           ] );
     ]

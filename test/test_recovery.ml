@@ -148,6 +148,34 @@ let test_journal_wrong_key_recovers_nothing () =
   Alcotest.(check int) "foreign key sees nothing" 0
     (Hashtbl.length r.Cloak.Journal.rstate.pages)
 
+(* Re-attaching compacts the whole state into one checkpoint, so loading
+   it back must rebuild the bind, the intent beside it and both generation
+   tables with nothing left to replay. A commit loaded before its page's
+   update would lose the bind, which pins the checkpoint's record order. *)
+let test_journal_checkpoint_carries_full_state () =
+  let store, _ = mem_store () in
+  let j = Cloak.Journal.attach ~key:jkey store in
+  Cloak.Journal.record j (upd "shm:6" 0);
+  Cloak.Journal.record j (intent "shm:6" 0 11);
+  Cloak.Journal.record j (commit "shm:6" 0 11);
+  Cloak.Journal.record j (intent "shm:6" 0 12);
+  Cloak.Journal.record j (Cloak.Journal.Generation { id = 6; gen = 4; size = 100; pages = 1 });
+  Cloak.Journal.record j (Cloak.Journal.Seal { tag = "anon:3"; gen = 2 });
+  ignore (Cloak.Journal.attach ~key:jkey store);
+  let r = Cloak.Journal.load ~key:jkey store in
+  let st = r.Cloak.Journal.rstate in
+  Alcotest.(check int) "everything came from the checkpoint" 0 r.Cloak.Journal.replayed;
+  Alcotest.(check bool) "page metadata kept" true (Hashtbl.mem st.pages ("shm:6", 0));
+  Alcotest.(check bool) "committed bind kept" true
+    (Hashtbl.find_opt st.binds ("shm:6", 0)
+    = Some { Cloak.Journal.dev = "disk"; block = 11 });
+  Alcotest.(check bool) "intent kept beside the bind" true
+    (Hashtbl.find_opt st.inflight ("shm:6", 0)
+    = Some { Cloak.Journal.dev = "disk"; block = 12 });
+  Alcotest.(check bool) "generation kept" true (Hashtbl.find_opt st.gens 6 = Some (4, 100, 1));
+  Alcotest.(check (option int)) "seal generation kept" (Some 2)
+    (Hashtbl.find_opt st.seals "anon:3")
+
 (* --- crash-point matrix (the tentpole acceptance, smaller here; the CI
    target runs the full 20-seed sweep through the CLI) --- *)
 
@@ -341,6 +369,8 @@ let () =
           Alcotest.test_case "undersized store rejected" `Quick test_journal_too_small;
           Alcotest.test_case "wrong key recovers nothing" `Quick
             test_journal_wrong_key_recovers_nothing;
+          Alcotest.test_case "checkpoint carries the full state" `Quick
+            test_journal_checkpoint_carries_full_state;
         ] );
       ( "crash-matrix",
         [
