@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress ci bench-check clean
+.PHONY: all build test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace profile regress experiments ci bench-check clean
 
 all: build
 
@@ -82,16 +82,23 @@ regress: build
 regress-update: build
 	$(DUNE) exec bin/overshadow_cli.exe -- regress --update-baselines
 
-ci: test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile
+# The E1-E10 tables: bench/main.exe prints every one from the model cycle
+# counts alone, so the committed BENCH_experiments.txt must come back
+# byte-identical (`make bench-check` diffs it).
+experiments: build
+	$(DUNE) exec bench/main.exe > BENCH_experiments.txt
 
-# Diff every BENCH_*.json against its committed copy, ignoring the
-# host-clock keys; exits 1 on any other difference or on a BENCH file
-# that is not committed. Run it after `make ci`. It is not part of `ci`
-# because it compares against HEAD.
+ci: test fuzz chaos-smoke recovery soak migrate fleet telemetry adversary trace regress profile experiments
+
+# Diff every committed BENCH_* file (the JSON summaries, the collapsed
+# profile, the experiment tables) against HEAD, ignoring the host-clock
+# keys; exits 1 on any other difference or on a BENCH file that is not
+# committed. Run it after `make ci`. It is not part of `ci` because it
+# compares against HEAD.
 HOST_CLOCK = "(wall_s|replay_total_s|replay_mean_ms)":
 bench-check:
 	@head=$$(mktemp); status=0; \
-	for f in BENCH_*.json; do \
+	for f in BENCH_*; do \
 	  if ! git cat-file -e HEAD:$$f 2>/dev/null; then \
 	    echo "$$f: not committed"; status=1; continue; fi; \
 	  git show HEAD:$$f | grep -Ev '$(HOST_CLOCK)' > $$head; \

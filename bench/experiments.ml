@@ -297,10 +297,7 @@ let e7_naive chunk =
         let sent = ref 0 in
         while !sent < stream_bytes do
           Uapi.store u ~vaddr:buf (Bytes.make chunk 'n');
-          let inner = ref 0 in
-          while !inner < chunk do
-            inner := !inner + Uapi.write u ~fd ~vaddr:(buf + !inner) ~len:(chunk - !inner)
-          done;
+          Uapi.write_exact u ~fd ~vaddr:buf ~len:chunk;
           sent := !sent + chunk
         done;
         cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
@@ -321,10 +318,7 @@ let e7_marshal chunk =
         let sent = ref 0 in
         while !sent < stream_bytes do
           Uapi.store u ~vaddr:buf (Bytes.make chunk 'm');
-          let inner = ref 0 in
-          while !inner < chunk do
-            inner := !inner + Uapi.write u ~fd ~vaddr:(buf + !inner) ~len:(chunk - !inner)
-          done;
+          Uapi.write_exact u ~fd ~vaddr:buf ~len:chunk;
           sent := !sent + chunk
         done;
         cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
@@ -516,10 +510,7 @@ let e10_run ~clean_reencrypt =
                 Uapi.touch u ~access:Fault.Read ~vaddr:buf ~len;
                 (* ...then the kernel copies it out *)
                 ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
-                let sent = ref 0 in
-                while !sent < len do
-                  sent := !sent + Uapi.write u ~fd ~vaddr:(buf + !sent) ~len:(len - !sent)
-                done
+                Uapi.write_exact u ~fd ~vaddr:buf ~len
               done;
               cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0);
         ])

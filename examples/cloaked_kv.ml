@@ -16,21 +16,6 @@ open Guest
 let key_bytes = 32
 let max_value = 256
 
-let read_exact u ~fd ~vaddr ~len =
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < len && not !eof do
-    let n = Uapi.read u ~fd ~vaddr:(vaddr + !got) ~len:(len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
-  not !eof
-
-let write_exact u ~fd ~vaddr ~len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(vaddr + !sent) ~len:(len - !sent)
-  done
-
 let pad_key k =
   let b = Bytes.make key_bytes '\000' in
   Bytes.blit_string k 0 b 0 (min key_bytes (String.length k));
@@ -50,7 +35,8 @@ let server ~request_fd ~response_fd env =
   let respbuf = Uapi.malloc u (4 + max_value) in
   let running = ref true in
   while !running do
-    if not (read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:(1 + key_bytes + 4)) then
+    let header_len = 1 + key_bytes + 4 in
+    if Uapi.read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:header_len < header_len then
       running := false
     else begin
       let header = Uapi.load u ~vaddr:reqbuf ~len:(1 + key_bytes + 4) in
@@ -59,7 +45,7 @@ let server ~request_fd ~response_fd env =
       let len = int_of_string (String.trim (Bytes.sub_string header (1 + key_bytes) 4)) in
       match op with
       | 'S' ->
-          if not (read_exact u ~fd:request_fd ~vaddr:(reqbuf + 1 + key_bytes + 4) ~len)
+          if Uapi.read_exact u ~fd:request_fd ~vaddr:(reqbuf + 1 + key_bytes + 4) ~len < len
           then running := false
           else begin
             (* move the value into the cloaked arena *)
@@ -71,7 +57,7 @@ let server ~request_fd ~response_fd env =
               Hashtbl.replace index key (off, len)
             end;
             Uapi.store u ~vaddr:respbuf (Bytes.of_string (Printf.sprintf "%-4d" 0));
-            write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4
+            Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4
           end
       | 'G' -> (
           match Hashtbl.find_opt index key with
@@ -79,10 +65,10 @@ let server ~request_fd ~response_fd env =
               Uapi.store u ~vaddr:respbuf (Bytes.of_string (Printf.sprintf "%-4d" vlen));
               let value = Uapi.load u ~vaddr:(arena + off) ~len:vlen in
               Uapi.store u ~vaddr:(respbuf + 4) value;
-              write_exact u ~fd:response_fd ~vaddr:respbuf ~len:(4 + vlen)
+              Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:(4 + vlen)
           | None ->
               Uapi.store u ~vaddr:respbuf (Bytes.of_string (Printf.sprintf "%-4d" (-1)));
-              write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4)
+              Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4)
       | 'Q' | _ -> running := false
     end
   done;
@@ -101,15 +87,15 @@ let client ~request_fd ~response_fd ~vmm ~server_pid env =
     Buffer.add_string msg (Printf.sprintf "%-4d" (String.length value));
     Buffer.add_string msg value;
     Uapi.store u ~vaddr:reqbuf (Buffer.to_bytes msg);
-    write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:(Buffer.length msg)
+    Uapi.write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:(Buffer.length msg)
   in
   let response () =
-    if not (read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4) then None
+    if Uapi.read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4 < 4 then None
     else
       let len = int_of_string (String.trim (Bytes.to_string (Uapi.load u ~vaddr:respbuf ~len:4))) in
       if len < 0 then None
       else begin
-        ignore (read_exact u ~fd:response_fd ~vaddr:(respbuf + 4) ~len);
+        ignore (Uapi.read_exact u ~fd:response_fd ~vaddr:(respbuf + 4) ~len);
         Some (Bytes.to_string (Uapi.load u ~vaddr:(respbuf + 4) ~len))
       end
   in

@@ -141,7 +141,6 @@ type channel = {
 
 let channel ?engine () = { engine; fwd = []; rev = []; log = [] }
 let wire_log ch = List.rev ch.log
-let idle ch = ch.fwd = [] && ch.rev = []
 
 let push ch site get set wire =
   ch.log <- wire :: ch.log;
@@ -487,7 +486,4 @@ let deliver r wire =
 let blob r = r.r_blob
 let trace_id r = r.r_tid
 let committed r = r.r_committed
-let aborted r = r.r_aborted
 let rejects r = List.rev r.r_rejects
-
-let progress r = (max r.r_have 0, max r.r_nchunks 0)

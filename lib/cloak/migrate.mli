@@ -91,9 +91,6 @@ val recv : channel -> bytes option
 val recv_reply : channel -> bytes option
 (** Deliver the next ripe reverse frame ([Mig_recv] site). *)
 
-val idle : channel -> bool
-(** Both queues empty (nothing in flight, not even delayed frames). *)
-
 val wire_log : channel -> bytes list
 (** Every frame that transited, oldest first, as the OS saw it (including
     mangled variants) — the privacy-scan and replay-probe surface. *)
@@ -181,12 +178,8 @@ val trace_id : receiver -> int
     frame that passed its session MAC can set it. *)
 
 val committed : receiver -> bool
-val aborted : receiver -> bool
 val rejects : receiver -> reject list
 (** Every refusal so far, oldest first. *)
-
-val progress : receiver -> int * int
-(** [(chunks held, chunks expected)]; [(0, 0)] before the OFFER. *)
 
 val scrub_receiver_key : receiver -> unit
 val drop_receiver : receiver -> unit

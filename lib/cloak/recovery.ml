@@ -117,20 +117,3 @@ let replay ~vmm ~store ~read_block =
     generations;
     quarantined = torn_resources;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>recovery epoch=%d replayed=%d pages=%d (committed=%d redone=%d torn=%d)@,"
-    t.epoch t.replayed (List.length t.pages) (committed t) (redone t) (torn t);
-  List.iter
-    (fun pg ->
-      Format.fprintf ppf "  %s[%d] %s:%d %s@," (Resource.tag pg.resource) pg.idx
-        pg.dev pg.block (status_to_string pg.status))
-    t.pages;
-  List.iter
-    (fun (id, gen) -> Format.fprintf ppf "  generation shm:%d = %d@," id gen)
-    t.generations;
-  List.iter
-    (fun r -> Format.fprintf ppf "  quarantined %s@," (Resource.tag r))
-    t.quarantined;
-  Format.fprintf ppf "@]"

@@ -59,5 +59,3 @@ val replay :
     surviving raw block contents ([None] if the device or block is gone,
     which counts as torn). Deterministic: pages are processed in sorted
     order and every classification is recorded in the VMM's audit trail. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,8 +5,6 @@ let equal a b =
   | Anon x, Anon y | Shm x, Shm y -> x = y
   | Anon _, Shm _ | Shm _, Anon _ -> false
 
-let hash = function Anon x -> (2 * x) + 1 | Shm x -> 2 * x
-
 let tag = function
   | Anon x -> Printf.sprintf "anon:%d" x
   | Shm x -> Printf.sprintf "shm:%d" x
@@ -23,5 +21,3 @@ let of_tag s =
           | "anon" -> Some (Anon n)
           | "shm" -> Some (Shm n)
           | _ -> None))
-
-let pp ppf r = Format.pp_print_string ppf (tag r)

@@ -11,12 +11,9 @@ type t =
   | Shm of int   (** a cloaked shared-memory object (also backs protected files) *)
 
 val equal : t -> t -> bool
-val hash : t -> int
 val tag : t -> string
 (** Stable serialization mixed into the page MAC. *)
 
 val of_tag : string -> t option
 (** Parse a {!tag} back; [None] on malformed input (journal records from a
     corrupted log go through here, so this must never raise). *)
-
-val pp : Format.formatter -> t -> unit

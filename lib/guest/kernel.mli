@@ -111,9 +111,6 @@ val exit_status : t -> pid:int -> int option
 val violations : t -> (int * Cloak.Violation.t) list
 (** Security faults the VMM raised, with the victim pid, newest first. *)
 
-val proc_count : t -> int
-(** Processes not yet fully reaped (for tests). *)
-
 type supervision_stats = {
   sup_pid : int;
   sup_restarts : int;

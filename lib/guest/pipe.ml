@@ -12,7 +12,6 @@ let create ~id ~capacity =
   { id; ring = Bytes.create capacity; rpos = 0; count = 0; readers = 0; writers = 0 }
 
 let id t = t.id
-let buffered t = t.count
 let readers t = t.readers
 let writers t = t.writers
 let add_reader t = t.readers <- t.readers + 1

@@ -64,20 +64,12 @@ let exercise_io u =
   let fd = Uapi.openf u "/rt" [ Abi.O_CREAT; Abi.O_RDWR ] in
   let buf = Uapi.malloc u (len + 8) in
   Uapi.store u ~vaddr:buf (Bytes.of_string io_payload);
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(buf + !sent) ~len:(len - !sent)
-  done;
+  Uapi.write_exact u ~fd ~vaddr:buf ~len;
   ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
   let rbuf = Uapi.malloc u (len + 8) in
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < len && not !eof do
-    let n = Uapi.read u ~fd ~vaddr:(rbuf + !got) ~len:(len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
+  let got = Uapi.read_exact u ~fd ~vaddr:rbuf ~len in
   Uapi.close u fd;
-  if !got <> len || Uapi.load u ~vaddr:rbuf ~len <> Bytes.of_string io_payload then
+  if got <> len || Uapi.load u ~vaddr:rbuf ~len <> Bytes.of_string io_payload then
     Uapi.exit u 1
 
 let typed u body =
@@ -126,21 +118,15 @@ let workload_for ~seed = List.nth workloads (abs seed mod List.length workloads)
 type raw = {
   raw_exit : int option;
   raw_digest : int option;
-  raw_crash : string option;
-  raw_leaks : string list;
-  raw_trace_failures : string list;
-  raw_audit : string list;
-  raw_audit_dropped : int;
+  raw_obs : Stack.obs;
   raw_counters : Counters.t;
   raw_attacks : int;  (* attacks the personality executed *)
 }
 
 let run_stack ~seed ~(w : workload) ~adversary =
-  let engine = Inject.create (Inject.plan ~seed []) in
-  let vconfig = Sweep.vconfig ~salt ~seed in
-  let trace = Trace.ring () in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
-  let k = Kernel.create ~config:kconfig vmm in
+  let ({ Stack.vmm; k; _ } as st) =
+    Stack.boot ~engine:(Inject.create (Inject.plan ~seed [])) ~salt ~seed kconfig
+  in
   let adv = Option.map (fun cls -> Adv.create ~vmm ~cls ~seed) adversary in
   let digest = ref None in
   let pid =
@@ -150,20 +136,11 @@ let run_stack ~seed ~(w : workload) ~adversary =
         (match adv with Some a -> Adv.arm a env | None -> ());
         w.program ~digest env)
   in
-  let crash =
-    try
-      Kernel.run k;
-      None
-    with e -> Some (Printexc.to_string e)
-  in
+  let crash = Stack.run st in
   {
     raw_exit = Kernel.exit_status k ~pid;
     raw_digest = !digest;
-    raw_crash = crash;
-    raw_leaks = Sweep.scan_leaks ~pattern:secret vmm k;
-    raw_trace_failures = Trace.Check.verdict trace;
-    raw_audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    raw_audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
+    raw_obs = Stack.observe ~canary:secret ~wire:[] ~crash [ ("", st) ];
     raw_counters = Cloak.Vmm.counters vmm;
     raw_attacks = Option.fold ~none:0 ~some:Adv.executed adv;
   }
@@ -210,23 +187,7 @@ type class_report = {
 }
 
 let check_class ~ff_digest (raw : raw) cls =
-  let fails = ref [] in
-  let add fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
-  (match raw.raw_crash with
-  | Some msg -> add "[%s] uncaught exception: %s" (Adv.class_name cls) msg
-  | None -> ());
-  (match raw.raw_leaks with
-  | [] -> ()
-  | l ->
-      add "[%s] plaintext canary leaked to: %s" (Adv.class_name cls)
-        (String.concat ", " l));
-  List.iter
-    (fun f -> add "[%s] trace invariant: %s" (Adv.class_name cls) f)
-    raw.raw_trace_failures;
   let outcome = classify ~ff_digest raw in
-  (match outcome with
-  | Silent what -> add "[%s] silent corruption: %s" (Adv.class_name cls) what
-  | _ -> ());
   let c = raw.raw_counters in
   {
     cls;
@@ -234,7 +195,14 @@ let check_class ~ff_digest (raw : raw) cls =
     lies_detected = c.Counters.hostile_lies_detected;
     refusals = c.Counters.hostile_refusals;
     outcome;
-    cr_failures = List.rev !fails;
+    cr_failures =
+      List.map
+        (Printf.sprintf "[%s] %s" (Adv.class_name cls))
+        (Stack.failures raw.raw_obs
+        @
+        match outcome with
+        | Silent what -> [ "silent corruption: " ^ what ]
+        | _ -> []);
   }
 
 (* --- one seed: fault-free baseline, then every class twice --- *)
@@ -259,9 +227,7 @@ let run_seed ~seed =
   let fails = ref [] in
   let add fmt = Printf.ksprintf (fun m -> fails := m :: !fails) fmt in
   let ff = run_stack ~seed ~w ~adversary:None in
-  (match ff.raw_crash with
-  | Some msg -> add "fault-free crash: %s" msg
-  | None -> ());
+  List.iter (add "fault-free: %s") (Stack.failures ff.raw_obs);
   if ff.raw_exit <> Some 0 then
     add "fault-free run of %s exited %s" w.w_name
       (match ff.raw_exit with Some s -> string_of_int s | None -> "never");
@@ -270,15 +236,12 @@ let run_seed ~seed =
       (fun cls ->
         let a = run_stack ~seed ~w ~adversary:(Some cls) in
         let b = run_stack ~seed ~w ~adversary:(Some cls) in
-        (match
-           Sweep.determinism_failure ~audit_a:a.raw_audit ~audit_b:b.raw_audit
-             ~dropped:(max a.raw_audit_dropped b.raw_audit_dropped)
-         with
-        | Some what -> add "[%s] %s" (Adv.class_name cls) what
-        | None -> ());
         let cr = check_class ~ff_digest:ff.raw_digest a cls in
-        List.iter (fun f -> fails := f :: !fails) (List.rev cr.cr_failures);
-        (cr, max a.raw_audit_dropped b.raw_audit_dropped))
+        let name = Adv.class_name cls in
+        List.iter (fun f -> fails := f :: !fails) cr.cr_failures;
+        List.iter (add "[%s] replay: %s" name) (Stack.failures b.raw_obs);
+        Option.iter (add "[%s] %s" name) (Stack.replay a.raw_obs b.raw_obs);
+        (cr, max a.raw_obs.audit_dropped b.raw_obs.audit_dropped))
       Adv.classes
   in
   let dropped = List.fold_left (fun acc (_, d) -> max acc d) 0 classes in

@@ -7,7 +7,6 @@ open Machine
 open Guest
 
 let secret = "CHAOS-CANARY-TOP-SECRET-PAYLOAD!"
-let contains_secret = Sweep.contains_pattern secret
 
 (* --- the workload ---
 
@@ -118,67 +117,33 @@ let kconfig =
 type report = {
   seed : int;
   plan : Inject.plan;
-  crash : string option;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
+  obs : Stack.obs;
   injections : int;
   contained : int;
   exit_statuses : (int * int option) list;
-  trace_failures : string list;
-  trace_dropped : int;
   hot_spots : (string * int) list;
   failures : string list;
 }
 
-let scan_leaks vmm k = Sweep.scan_leaks ~pattern:secret vmm k
-
-let check_report r =
-  (match r.crash with
-  | Some msg -> [ Printf.sprintf "uncaught exception: %s" msg ]
-  | None -> [])
-  @ (match r.leaks with
-    | [] -> []
-    | l -> [ Printf.sprintf "plaintext secret leaked to: %s" (String.concat ", " l) ])
-  @ List.map (Printf.sprintf "trace invariant: %s") r.trace_failures
-
 let run_once ~seed =
   let plan = Inject.random_plan ~seed in
   let engine = Inject.create plan in
-  let vconfig = Sweep.vconfig ~salt:0xC4A05 ~seed in
-  let trace = Trace.ring () in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
-  let k = Kernel.create ~config:kconfig vmm in
+  let ({ Stack.vmm; k; _ } as st) = Stack.boot ~engine ~salt:0xC4A05 ~seed kconfig in
   let pids =
     [ Kernel.spawn k ~cloaked:true protagonist; Kernel.spawn k antagonist ]
   in
-  let crash =
-    try
-      Kernel.run k;
-      None
-    with e -> Some (Printexc.to_string e)
-  in
-  let r =
-    {
-      seed;
-      plan;
-      crash;
-      leaks = scan_leaks vmm k;
-      audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-      audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
-      injections = Inject.injections engine;
-      contained = (Cloak.Vmm.counters vmm).contained;
-      exit_statuses = List.map (fun pid -> (pid, Kernel.exit_status k ~pid)) pids;
-      trace_failures = Trace.Check.verdict trace;
-      trace_dropped = Trace.dropped trace;
-      hot_spots =
-        Profile.hot_spots ~root:"chaos"
-          ~total_cycles:(Cost.cycles (Cloak.Vmm.cost vmm))
-          ~n:3 trace;
-      failures = [];
-    }
-  in
-  { r with failures = check_report r }
+  let crash = Stack.run st in
+  let obs = Stack.observe ~canary:secret ~wire:[] ~crash [ ("", st) ] in
+  {
+    seed;
+    plan;
+    obs;
+    injections = Inject.injections engine;
+    contained = (Cloak.Vmm.counters vmm).contained;
+    exit_statuses = List.map (fun pid -> (pid, Kernel.exit_status k ~pid)) pids;
+    hot_spots = Stack.hot_spots ~root:"chaos" st;
+    failures = Stack.failures obs;
+  }
 
 (* --- one sweep seed: run twice, check the three invariants --- *)
 
@@ -187,11 +152,13 @@ type seed_report = report
 let run_seed ~seed =
   let r = run_once ~seed in
   let r' = run_once ~seed in
-  let replay =
-    Sweep.determinism_failure ~audit_a:r.audit ~audit_b:r'.audit
-      ~dropped:(max r.audit_dropped r'.audit_dropped)
-  in
-  { r with failures = r.failures @ Option.to_list replay }
+  {
+    r with
+    failures =
+      r.failures
+      @ List.map (( ^ ) "replay: ") r'.failures
+      @ Option.to_list (Stack.replay r.obs r'.obs);
+  }
 
 let failures r = r.failures
 
@@ -226,22 +193,14 @@ let summary reports =
 let pp_seed_report ppf r =
   Format.fprintf ppf "seed %d: %d injections, %d contained, %s" r.seed
     r.injections r.contained
-    (match r.crash with
+    (match r.obs.crash with
     | Some m -> "CRASH " ^ m
     | None -> (
-        match r.leaks with
+        match r.obs.leaks with
         | [] -> "clean"
         | l -> "LEAK " ^ String.concat ", " l));
   let line fmt = Format.fprintf ppf ("@\n    " ^^ fmt) in
-  Option.iter (line "%s") (Sweep.truncation_note r.audit_dropped);
-  (match r.hot_spots with
-  | [] ->
-      if r.trace_dropped > 0 then
-        line "top cost centers unavailable: trace ring dropped %d events"
-          r.trace_dropped
-  | spots ->
-      line "top cost centers:%s"
-        (String.concat ""
-           (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots)));
+  Option.iter (line "%s") (Sweep.truncation_note r.obs.audit_dropped);
+  Stack.pp_hot_spots ~trace_dropped:r.obs.trace_dropped ppf r.hot_spots;
   List.iter (line "FAILED %s") r.failures;
-  List.iter (line "%s") r.audit
+  List.iter (line "%s") r.obs.audit

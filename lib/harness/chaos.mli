@@ -17,8 +17,6 @@
 val secret : string
 (** The canary planted in cloaked memory by the workload. *)
 
-val contains_secret : bytes -> bool
-
 val kconfig : Guest.Kernel.config
 (** Deliberately tight guest memory so the workload swaps. *)
 
@@ -31,26 +29,20 @@ val antagonist : Guest.Abi.program
 type report = {
   seed : int;
   plan : Inject.plan;
-  crash : string option;   (** exception escaping [Kernel.run], if any *)
-  leaks : string list;     (** OS-visible surfaces holding the secret *)
-  audit : string list;
-  audit_dropped : int;     (** audit-ring entries lost to the bounded window *)
+  obs : Stack.obs;
+      (** the run's escape, canary scan, trace checks and audit log *)
   injections : int;
   contained : int;
   exit_statuses : (int * int option) list;
-  trace_failures : string list;
-      (** flight-recorder invariant violations ({!Trace.Check.verdict});
-          empty both when the run is clean and when the trace ring wrapped
-          (see [trace_dropped]) *)
-  trace_dropped : int;  (** events evicted from the trace ring *)
   hot_spots : (string * int) list;
-      (** top self-cycle call contexts of the run ({!Profile.hot_spots}) —
+      (** top self-cycle call contexts of the run ({!Stack.hot_spots}) —
           the first places to look when the regression sentinel flags
           drift under this seed's behavior; empty when the trace ring
-          wrapped (see [trace_dropped]) *)
+          wrapped (see [obs.trace_dropped]) *)
   failures : string list;
-      (** broken invariants: escaped exception, leaks and trace checks
-          for one run; {!run_seed} adds the replay-determinism check *)
+      (** broken invariants: {!Stack.failures} of one run; {!run_seed}
+          adds the replay run's, prefixed ["replay: "], and the
+          replay-determinism verdict *)
 }
 
 val run_once : seed:int -> report
@@ -59,7 +51,8 @@ val run_once : seed:int -> report
 (** {1 The sweep}
 
     Each seed runs twice; the seed's report is the first run's, with the
-    determinism verdict over both audit logs added to its failures. The
+    second run's failures and the determinism verdict over both audit
+    logs added to its failures. The
     BENCH summary ([chaos]) totals injections, contained faults and
     security kills (exit status -2). *)
 

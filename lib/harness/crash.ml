@@ -20,8 +20,6 @@ let kconfig =
     journal_ckpt_every = 24;
   }
 
-let vmm_seed seed = 0xC4A05 lxor (seed * 0x2545F491)
-
 (* --- the workload ---
 
    A cloaked protagonist drives every journaled path: two protected
@@ -151,9 +149,8 @@ type raw_run = {
 
 let run_workload ~seed ~plan =
   let engine = Inject.create plan in
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
   let trace = Trace.ring () in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
+  let vmm = Cloak.Vmm.create ~config:(Stack.vconfig ~salt:0xC4A05 ~seed) ~engine ~trace () in
   let ledger : ledger = Hashtbl.create 32 in
   match
     try `Up (Kernel.create ~config:kconfig vmm)
@@ -187,8 +184,7 @@ type journal_stats = {
 let calibrate ~seed =
   let plan = Inject.plan [] in
   let engine = Inject.create plan in
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine () in
+  let vmm = Cloak.Vmm.create ~config:(Stack.vconfig ~salt:0xC4A05 ~seed) ~engine () in
   let k = Kernel.create ~config:kconfig vmm in
   ignore (Kernel.spawn k ~cloaked:true protagonist);
   ignore (Kernel.spawn k antagonist);
@@ -249,9 +245,8 @@ let run_point ~seed point =
   let raw = run_workload ~seed ~plan in
   (* Everything in VMM memory is gone with the power cut; only the block
      devices survive. A fresh VMM from the same seed re-derives the keys. *)
-  let vconfig = { Cloak.Vmm.default_config with seed = vmm_seed seed } in
   let trace2 = Trace.ring () in
-  let vmm2 = Cloak.Vmm.create ~config:vconfig ~trace:trace2 () in
+  let vmm2 = Cloak.Vmm.create ~config:(Stack.vconfig ~salt:0xC4A05 ~seed) ~trace:trace2 () in
   let store, read_block =
     match raw.kernel with
     | Some k ->

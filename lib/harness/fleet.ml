@@ -40,9 +40,7 @@ let max_failover_attempts = 3
 
 type host = {
   idx : int;
-  vmm : Cloak.Vmm.t;
-  k : Kernel.t;
-  htrace : Trace.t;
+  st : Stack.t;
   tid : int;
       (* the request trace id of its own service process: [idx + 1], set
          whether or not telemetry records (never 0 — 0 means "no id" on
@@ -90,7 +88,6 @@ type fleet = {
 }
 
 let tag_of pid = Cloak.Resource.tag (Cloak.Resource.Anon pid)
-let coordinator fl = fl.hosts.(0).vmm
 let pending fl j = List.filter (fun fo -> fo.fo_dst = j) fl.failovers
 
 let next_seq fl tid =
@@ -138,16 +135,16 @@ let failover fl h ~dst ~drain blob =
     Printf.sprintf "f%d-%c%d-s%d" fl.f_seed (if drain then 'h' else 'x') h.idx
       fl.sessions
   in
-  let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-  let snd = Cloak.Migrate.sender h.vmm ~session ~trace_id:h.tid blob in
-  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).vmm ~session in
+  let t0 = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
+  let snd = Cloak.Migrate.sender h.st.vmm ~session ~trace_id:h.tid blob in
+  let rcv = Cloak.Migrate.receiver fl.hosts.(dst).st.vmm ~session in
   let committed =
-    (Migration.transfer fl.ch ~jitter:fl.jitter ~src:h.vmm ~tag:(tag_of h.pid)
+    (Migration.transfer fl.ch ~jitter:fl.jitter ~src:h.st.vmm ~tag:(tag_of h.pid)
        snd rcv).committed
   in
   match Cloak.Migrate.blob rcv with
   | Some fo_blob when committed ->
-      let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+      let t1 = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
       fl.failovers <-
         { fo_src = h.idx; fo_dst = dst; fo_pid = h.pid;
           fo_tid = Cloak.Migrate.trace_id rcv; fo_blob; fo_drain = drain;
@@ -171,7 +168,7 @@ let rec hook fl h blob =
   (match Inject.fire fl.engine Inject.Host_power with
   | Some Inject.Crash_point -> Inject.crashed Inject.Host_power
   | Some _ | None -> ());
-  let now = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+  let now = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
   let tel = fl.tel.(h.idx) in
   (match Inject.fire fl.engine Inject.Hb_send with
   | Some _ ->
@@ -185,12 +182,12 @@ let rec hook fl h blob =
      so the causal trace shows liveness between the coarse stage hops *)
   Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"heartbeat"
     ~seq:(next_seq fl h.tid) ~t0:now ~t1:now;
-  let contained = (Cloak.Vmm.counters h.vmm).contained in
+  let contained = (Cloak.Vmm.counters h.st.vmm).contained in
   for _ = 1 to min 32 (contained - h.last_contained) do
     Cloak.Balancer.record_error fl.bal h.idx
   done;
   h.last_contained <- contained;
-  let rearm () = Kernel.request_migration h.k ~pid:h.pid (hook fl h) in
+  let rearm () = Kernel.request_migration h.st.k ~pid:h.pid (hook fl h) in
   (* Voluntary drains only while the fleet is at full redundancy: once any
      capacity is lost a second suspect rides out its suspicion — shrinking
      an already-degraded fleet trades a maybe-sick host for certain
@@ -208,9 +205,9 @@ let rec hook fl h blob =
         Kernel.Mig_abort
     | Some dst -> (
         let site = tag_of h.pid in
-        Trace.span_enter h.htrace ~ctx:Trace.Vmm ~site Trace.Migration;
+        Trace.span_enter h.st.trace ~ctx:Trace.Vmm ~site Trace.Migration;
         let committed = failover fl h ~dst ~drain:true blob in
-        Trace.span_exit h.htrace ~ctx:Trace.Vmm ~site Trace.Migration;
+        Trace.span_exit h.st.trace ~ctx:Trace.Vmm ~site Trace.Migration;
         match committed with
         | Some at ->
             h.drained <- true;
@@ -235,12 +232,12 @@ let rec hook fl h blob =
    with it. *)
 let crash_failover fl h =
   h.died <- true;
-  h.death_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
+  h.death_at <- Cost.cycles (Cloak.Vmm.cost h.st.vmm);
   Cloak.Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
   Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:h.death_at "host-death";
   fl.lost <- fl.lost + List.length h.adopted;
   if not h.drained then
-    match Kernel.supervision_stats h.k ~pid:h.pid with
+    match Kernel.supervision_stats h.st.k ~pid:h.pid with
     | None | Some { Kernel.sup_last_checkpoint = None; _ } ->
         (* died before its first sealed checkpoint: nothing to rescue *)
         fl.lost <- fl.lost + 1
@@ -259,10 +256,10 @@ let crash_failover fl h =
 let adopt_pending fl h errors =
   List.iter
     (fun fo ->
-      let t0 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
-      match Kernel.adopt_migrated h.k ~policy ~prog:service fo.fo_blob with
+      let t0 = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
+      match Kernel.adopt_migrated h.st.k ~policy ~prog:service fo.fo_blob with
       | p ->
-          let t1 = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+          let t1 = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
           (* the adopt hop continues the request's trace under the id
              carried (MAC-covered) in the migration frames, not a local
              guess — this is what stitches the two hosts together *)
@@ -496,26 +493,19 @@ type run = {
   r_tel : Telemetry.t;  (* the hosts' registries merged fleet-level *)
   r_stitched : int;  (* complete cross-host causal traces *)
   r_host_traces : (int * string * Trace.t) list;  (* per-host flight recorders *)
-  r_leaks : string list;
-  r_trace_failures : string list;
+  r_obs : Stack.obs;  (* crash: an exception that escaped the harness *)
   r_mech_failures : string list;
-  r_audit : string list;
-  r_audit_dropped : int;
-  r_crash : string option;  (* an exception that escaped the harness *)
 }
 
 let run_once ?(telemetry = true) ~plan ~seed () =
   let engine = Inject.create plan in
   (* every host shares the fleet master secret: same vconfig seed *)
-  let vconfig = Sweep.vconfig ~salt:0xF1EE7 ~seed in
   let mk idx =
-    let htrace = Trace.ring () in
-    let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace:htrace () in
-    let k = Kernel.create ~config:kconfig vmm in
     {
-      idx; vmm; k; htrace; tid = idx + 1; spawned = false; pid = -1;
-      spawn_at = 0; adopted = []; died = false; drained = false; drain_at = 0;
-      death_at = 0; end_at = 0; drain_attempts = 0; last_contained = 0;
+      idx; st = Stack.boot ~engine ~salt:0xF1EE7 ~seed kconfig; tid = idx + 1;
+      spawned = false; pid = -1; spawn_at = 0; adopted = []; died = false;
+      drained = false; drain_at = 0; death_at = 0; end_at = 0; drain_attempts = 0;
+      last_contained = 0;
     }
   in
   let hosts = Array.init n_hosts mk in
@@ -547,19 +537,19 @@ let run_once ?(telemetry = true) ~plan ~seed () =
         (* admit the request before the process exists, and reserve the
            service hop's sequence slot so the span (only emitted once its
            end is known) still sorts before the heartbeats it encloses *)
-        let t_adm = Cost.cycles (Cloak.Vmm.cost h.vmm) in
+        let t_adm = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
         Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"admission"
           ~seq:(next_seq fl h.tid) ~t0:t_adm ~t1:t_adm;
         let svc_seq = next_seq fl h.tid in
-        h.pid <- Kernel.spawn_supervised h.k ~policy service;
-        h.spawn_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
-        ignore (Kernel.spawn h.k antagonist);
+        h.pid <- Kernel.spawn_supervised h.st.k ~policy service;
+        h.spawn_at <- Cost.cycles (Cloak.Vmm.cost h.st.vmm);
+        ignore (Kernel.spawn h.st.k antagonist);
         h.spawned <- true;
-        Kernel.request_migration h.k ~pid:h.pid (hook fl h);
-        (try Kernel.run h.k with
+        Kernel.request_migration h.st.k ~pid:h.pid (hook fl h);
+        (try Kernel.run h.st.k with
         | Inject.Vmm_crash _ -> crash_failover fl h
         | e -> escaped := Some (Printexc.to_string e));
-        h.end_at <- Cost.cycles (Cloak.Vmm.cost h.vmm);
+        h.end_at <- Cost.cycles (Cloak.Vmm.cost h.st.vmm);
         let svc_end =
           if h.drained then h.drain_at
           else if h.died then h.death_at
@@ -570,7 +560,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
         if !escaped = None && not h.died then begin
           if
             (not h.drained)
-            && Kernel.exit_status h.k ~pid:h.pid = Some 0
+            && Kernel.exit_status h.st.k ~pid:h.pid = Some 0
           then
             Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"completion"
               ~seq:(next_seq fl h.tid) ~t0:h.end_at ~t1:h.end_at;
@@ -578,24 +568,20 @@ let run_once ?(telemetry = true) ~plan ~seed () =
              cross-host trace their migration frames carried over *)
           List.iter
             (fun (pid, _src, tid) ->
-              if Kernel.exit_status h.k ~pid = Some 0 then
+              if Kernel.exit_status h.st.k ~pid = Some 0 then
                 Telemetry.span tel ~host:h.idx ~tid ~hop:"completion"
                   ~seq:(next_seq fl tid) ~t0:h.end_at ~t1:h.end_at)
             h.adopted
         end
       end)
     hosts;
-  (* snapshot the deterministic surfaces before the probes below append
-     to the shared audit trail *)
-  let audit = Inject.Audit.lines (Cloak.Vmm.audit (coordinator fl)) in
-  let audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit (coordinator fl)) in
   (* every process failed over onto a surviving host must have finished *)
   Array.iter
     (fun h ->
       if h.spawned && not h.died then
         List.iter
           (fun (pid, src, _tid) ->
-            if Kernel.exit_status h.k ~pid <> Some 0 then
+            if Kernel.exit_status h.st.k ~pid <> Some 0 then
               errors :=
                 Printf.sprintf
                   "process failed over from host %d did not finish on host %d"
@@ -609,38 +595,22 @@ let run_once ?(telemetry = true) ~plan ~seed () =
   if !escaped = None then
     List.iter
       (fun r ->
-        (match Cloak.Seal.unseal fl.hosts.(r.fo_src).vmm r.fo_blob with
+        (match Cloak.Seal.unseal fl.hosts.(r.fo_src).st.vmm r.fo_blob with
         | _ -> incr double_resumes
         | exception e when Migration.is_stale e -> ());
         match
-          Kernel.adopt_migrated fl.hosts.(r.fo_dst).k ~policy ~prog:service
+          Kernel.adopt_migrated fl.hosts.(r.fo_dst).st.k ~policy ~prog:service
             r.fo_blob
         with
         | _ -> incr double_resumes
         | exception e when Migration.is_stale e -> ())
       fl.failovers;
-  let wire = Cloak.Migrate.wire_log fl.ch in
-  let leaks =
-    List.concat_map
-      (fun h ->
-        List.map
-          (fun s -> Printf.sprintf "host %d %s" h.idx s)
-          (Soak.scan_leaks h.vmm h.k))
-      (Array.to_list hosts)
-    @ List.concat
-        (List.mapi
-           (fun i w ->
-             if Soak.contains_canary w then [ Printf.sprintf "wire frame %d" i ]
-             else [])
-           wire)
-  in
-  let trace_failures =
-    List.concat_map
-      (fun h ->
-        List.map
-          (fun f -> Printf.sprintf "host %d: %s" h.idx f)
-          (Trace.Check.verdict h.htrace))
-      (Array.to_list hosts)
+  (* after the exactly-once probes, so their audit lines and trace events
+     are checked too *)
+  let obs =
+    Stack.observe ~canary:Soak.canary ~wire:(Cloak.Migrate.wire_log fl.ch)
+      ~crash:!escaped
+      (List.map (fun h -> (Printf.sprintf "host %d" h.idx, h.st)) (Array.to_list hosts))
   in
   let mean_gap =
     let sum = ref 0.0 and cnt = ref 0 in
@@ -707,7 +677,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     r_downtimes = List.rev_map (fun fo -> fo.fo_downtime) fl.failovers;
     r_cycles =
       Array.fold_left
-        (fun a h -> a + Cost.cycles (Cloak.Vmm.cost h.vmm))
+        (fun a h -> a + Cost.cycles (Cloak.Vmm.cost h.st.vmm))
         0 hosts;
     r_sup = sup;
     r_unsup = unsup;
@@ -715,14 +685,10 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     r_stitched = stitched;
     r_host_traces =
       List.map
-        (fun h -> (h.idx, Printf.sprintf "host %d" h.idx, h.htrace))
+        (fun h -> (h.idx, Printf.sprintf "host %d" h.idx, h.st.trace))
         (Array.to_list hosts);
-    r_leaks = leaks;
-    r_trace_failures = trace_failures;
+    r_obs = obs;
     r_mech_failures = List.rev !errors;
-    r_audit = audit;
-    r_audit_dropped = audit_dropped;
-    r_crash = !escaped;
   }
 
 (* --- hostile fleet plans --- *)
@@ -842,26 +808,18 @@ let run_seed ~seed =
          "fault-free SLO: only %.1f%% of admitted requests within budget"
          (budget_pct ff.r_sup));
   (* hostile: replay determinism over the shared audit stream *)
-  (match
-     Sweep.determinism_failure ~audit_a:h1.r_audit ~audit_b:h2.r_audit
-       ~dropped:(h1.r_audit_dropped + h2.r_audit_dropped)
-   with
-  | Some what -> fail ("hostile " ^ what)
-  | None -> ());
+  Option.iter (fun what -> fail ("hostile " ^ what)) (Stack.replay h1.r_obs h2.r_obs);
   if h1.r_deaths < 1 then fail "lethal plan failed to kill any host";
   List.iter
     (fun (name, (r : run)) ->
-      (match r.r_crash with
-      | Some e -> fail (Printf.sprintf "%s: escaped the harness: %s" name e)
-      | None -> ());
-      List.iter (fun l -> fail (name ^ ": canary leaked to " ^ l)) r.r_leaks;
-      List.iter (fun f -> fail (name ^ ": trace: " ^ f)) r.r_trace_failures;
-      List.iter (fun f -> fail (name ^ ": " ^ f)) r.r_mech_failures;
+      List.iter
+        (fun f -> fail (name ^ ": " ^ f))
+        (Stack.failures r.r_obs @ r.r_mech_failures);
       if r.r_double_resumes > 0 then
         fail
           (Printf.sprintf "%s: %d double resume(s) past the fence" name
              r.r_double_resumes))
-    [ ("fault-free", ff); ("hostile", h1); ("blackhole", bh) ];
+    [ ("fault-free", ff); ("hostile", h1); ("hostile replay", h2); ("blackhole", bh) ];
   (* under a lethal antagonist, supervision must strictly beat its
      absence on goodput — removing the corpse from rotation wins more
      than detection lag and reduced-service sheds cost *)
@@ -911,8 +869,7 @@ let run_seed ~seed =
     double_resumes =
       ff.r_double_resumes + h1.r_double_resumes + bh.r_double_resumes;
     audit_dropped =
-      max ff.r_audit_dropped
-        (max bh.r_audit_dropped (max h1.r_audit_dropped h2.r_audit_dropped));
+      List.fold_left (fun acc r -> max acc r.r_obs.audit_dropped) 0 [ ff; h1; h2; bh ];
     tel_samples =
       Telemetry.samples h1.r_tel + h1.r_sup.sim_samples
       + h1.r_unsup.sim_samples;

@@ -98,12 +98,11 @@ type run = {
           followed cross-host from admission to completion) *)
   r_host_traces : (int * string * Trace.t) list;
       (** [(pid, name, recorder)] per host, for fleet-wide Chrome export *)
-  r_leaks : string list;
-  r_trace_failures : string list;
+  r_obs : Stack.obs;
+      (** every host and the wire scanned for the canary, every host's
+          trace checked, the shared audit stream — after the exactly-once
+          probes; [crash] is an exception that escaped the harness *)
   r_mech_failures : string list;
-  r_audit : string list;
-  r_audit_dropped : int;
-  r_crash : string option;
 }
 
 val run_once : ?telemetry:bool -> plan:Inject.plan -> seed:int -> unit -> run
@@ -152,9 +151,10 @@ type seed_report = {
     must hold for ≥99% of admitted requests), the hostile plan twice
     (audit-stream determinism), and the blackhole plan (graceful
     degradation). Every committed failover is probed for double resume at
-    both ends. The BENCH summary ([fleet]) carries deaths, drains,
-    failovers, sheds, goodput supervised vs unsupervised, worst-seed tail
-    latency, failover downtime percentiles and telemetry totals; the
-    per-window timelines are printed by [fleet --verbose] instead. *)
+    both ends, and every run passes {!Stack.failures}. The BENCH summary
+    ([fleet]) carries deaths, drains, failovers, sheds, goodput
+    supervised vs unsupervised, worst-seed tail latency, failover
+    downtime percentiles and telemetry totals; the per-window timelines
+    are printed by [fleet --verbose] instead. *)
 
 include Sweep.S with type seed_report := seed_report

@@ -1,4 +1,5 @@
 module Sweep = Sweep
+module Stack = Stack
 module type S = Sweep.S
 module Chaos = Chaos
 module Crash = Crash

@@ -4,8 +4,13 @@
 
 module Sweep = Sweep
 (** Re-export: the shared seed-sweep scaffolding every antagonist harness
-    is built on (canary scans, per-seed configs, determinism check, host
-    clock, and the generic runner {!Sweep.run}). *)
+    is built on (seed spacing, determinism check, host clock, and the
+    generic runner {!Sweep.run}). *)
+
+module Stack = Stack
+(** Re-export: the one stack a sweep boots ({!Stack.boot}, {!Stack.run})
+    and the verdict every run passes (canary scan, trace checks, replay:
+    {!Stack.observe}, {!Stack.failures}, {!Stack.replay}). *)
 
 module type S = Sweep.S
 (** The harness contract: Chaos, Crash, Soak, Migrate, Fleet and

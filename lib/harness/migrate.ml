@@ -91,15 +91,11 @@ let abort_downtime_bound = 64_000_000
 
 (* --- the two stacks and the wire between them --- *)
 
-type stack = {
+type scenario = {
   engine : Inject.t;
   ch : Cloak.Migrate.channel;
-  src_trace : Trace.t;
-  dst_trace : Trace.t;
-  src_vmm : Cloak.Vmm.t;
-  dst_vmm : Cloak.Vmm.t;
-  src_k : Kernel.t;
-  dst_k : Kernel.t;
+  src : Stack.t;
+  dst : Stack.t;
   jitter : Oscrypto.Prng.t;
   seed : int;
   pid : int;
@@ -124,16 +120,16 @@ let tag_of st = Cloak.Resource.tag (Cloak.Resource.Anon st.pid)
    breaks the circuit, and resume at the source — nothing was staled. *)
 let rec handler st blob =
   st.attempts <- st.attempts + 1;
-  let t0 = Cost.cycles (Cloak.Vmm.cost st.src_vmm) in
-  Trace.span_enter st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
-  st.gen <- Cloak.Vmm.seal_generation st.src_vmm ~tag:(tag_of st);
+  let t0 = Cost.cycles (Cloak.Vmm.cost st.src.vmm) in
+  Trace.span_enter st.src.trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
+  st.gen <- Cloak.Vmm.seal_generation st.src.vmm ~tag:(tag_of st);
   st.blob <- Some blob;
   st.session <- Printf.sprintf "s%d-a%d" st.seed st.attempts;
-  let snd = Cloak.Migrate.sender st.src_vmm ~session:st.session blob in
-  let rcv = Cloak.Migrate.receiver st.dst_vmm ~session:st.session in
+  let snd = Cloak.Migrate.sender st.src.vmm ~session:st.session blob in
+  let rcv = Cloak.Migrate.receiver st.dst.vmm ~session:st.session in
   st.receivers <- rcv :: st.receivers;
   let o =
-    Migration.transfer st.ch ~jitter:st.jitter ~src:st.src_vmm ~tag:(tag_of st) snd rcv
+    Migration.transfer st.ch ~jitter:st.jitter ~src:st.src.vmm ~tag:(tag_of st) snd rcv
   in
   st.retries <- st.retries + o.retries;
   st.mac_failures <- st.mac_failures + o.mac_failures;
@@ -144,12 +140,12 @@ let rec handler st blob =
     end
     else begin
       if st.attempts >= max_attempts then st.breaker <- true
-      else Kernel.request_migration st.src_k ~pid:st.pid (handler st);
+      else Kernel.request_migration st.src.k ~pid:st.pid (handler st);
       Kernel.Mig_abort
     end
   in
-  st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost st.src_vmm) - t0);
-  Trace.span_exit st.src_trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
+  st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost st.src.vmm) - t0);
+  Trace.span_exit st.src.trace ~ctx:Trace.Vmm ~site:(tag_of st) Trace.Migration;
   decision
 
 (* --- one migration scenario --- *)
@@ -167,14 +163,10 @@ type run = {
   wire_frames : int;
   retries : int;
   mac_failures : int;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
-  crash : string option;
   sup : Kernel.supervision_stats option;
-  trace_failures : string list;
+  obs : Stack.obs;
   probe_failures : string list;
-  st : stack;  (* kept for crash-matrix post-mortems *)
+  st : scenario;  (* kept for crash-matrix post-mortems *)
 }
 
 let units_of k =
@@ -185,31 +177,22 @@ let units_of k =
 let run_once ~plan ~seed =
   let engine = Inject.create plan in
   (* both VMMs share the fleet master secret: same seed *)
-  let vconfig = Sweep.vconfig ~salt:0x317E ~seed in
-  let src_trace = Trace.ring () and dst_trace = Trace.ring () in
-  let src_vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace:src_trace () in
-  let dst_vmm = Cloak.Vmm.create ~config:vconfig ~trace:dst_trace () in
-  let src_k = Kernel.create ~config:kconfig src_vmm in
-  let dst_k = Kernel.create ~config:kconfig dst_vmm in
+  let src = Stack.boot ~engine ~salt:0x317E ~seed kconfig in
+  let dst = Stack.boot ~salt:0x317E ~seed kconfig in
   let ch = Cloak.Migrate.channel ~engine () in
-  let pid = Kernel.spawn_supervised src_k ~policy service in
-  ignore (Kernel.spawn src_k antagonist);
+  let pid = Kernel.spawn_supervised src.k ~policy service in
+  ignore (Kernel.spawn src.k antagonist);
   let st =
     {
-      engine; ch; src_trace; dst_trace; src_vmm; dst_vmm; src_k; dst_k;
+      engine; ch; src; dst;
       jitter = Oscrypto.Prng.create ~seed:(seed lxor 0x11771);
       seed; pid; attempts = 0; committed = false; breaker = false;
       downtime = 0; blob = None; gen = 0; session = ""; receivers = [];
       retries = 0; mac_failures = 0;
     }
   in
-  Kernel.request_migration src_k ~pid (handler st);
-  let crash =
-    try
-      Kernel.run src_k;
-      None
-    with e -> Some (Printexc.to_string e)
-  in
+  Kernel.request_migration src.k ~pid (handler st);
+  let crash = Stack.run src in
   let probe_failures = ref [] in
   let probe msg = probe_failures := msg :: !probe_failures in
   (* destination side: adopt the committed blob and run it to completion
@@ -221,46 +204,30 @@ let run_once ~plan ~seed =
          match Cloak.Migrate.blob rcv with
          | None -> probe "fenced at the source but destination holds no blob"
          | Some blob -> (
-             let t0 = Cost.cycles (Cloak.Vmm.cost dst_vmm) in
-             match Kernel.adopt_migrated dst_k ~policy ~prog:service blob with
+             let t0 = Cost.cycles (Cloak.Vmm.cost dst.vmm) in
+             match Kernel.adopt_migrated dst.k ~policy ~prog:service blob with
              | _pid ->
-                 st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost dst_vmm) - t0);
-                 ignore (Kernel.spawn dst_k antagonist);
-                 (try Kernel.run dst_k
-                  with e -> probe ("destination run: " ^ Printexc.to_string e))
+                 st.downtime <- st.downtime + (Cost.cycles (Cloak.Vmm.cost dst.vmm) - t0);
+                 ignore (Kernel.spawn dst.k antagonist);
+                 Option.iter (fun e -> probe ("destination run: " ^ e)) (Stack.run dst)
              | exception e ->
                  probe ("adopt refused a committed blob: " ^ Printexc.to_string e))));
-  (* snapshot the deterministic surfaces before the probes below append
-     to the audit trail *)
-  let audit = Inject.Audit.lines (Cloak.Vmm.audit src_vmm) in
-  let audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit src_vmm) in
   let wire = Cloak.Migrate.wire_log ch in
-  let leaks =
-    Soak.scan_leaks src_vmm src_k
-    @ List.map (fun s -> "dst " ^ s) (Soak.scan_leaks dst_vmm dst_k)
-    @ List.concat
-        (List.mapi
-           (fun i w ->
-             if Soak.contains_canary w then
-               [ Printf.sprintf "wire frame %d" i ]
-             else [])
-           wire)
-  in
   (* post-run adversarial probes (skipped after a crash; the crash
      matrix does its own post-mortem) *)
   (if crash = None && st.committed then begin
      let blob = match st.blob with Some b -> b | None -> Bytes.empty in
      (* double-resume at the source: the fence retired the generation *)
-     (match Cloak.Seal.unseal src_vmm blob with
+     (match Cloak.Seal.unseal src.vmm blob with
      | _ -> probe "source re-unsealed the migrated blob (fence leaked)"
      | exception e when Migration.is_stale e -> ());
      (* double-delivery at the destination: install consumed it *)
-     (match Kernel.adopt_migrated dst_k ~policy ~prog:service blob with
+     (match Kernel.adopt_migrated dst.k ~policy ~prog:service blob with
      | _ -> probe "destination re-adopted the migrated blob"
      | exception e when Migration.is_stale e -> ());
      (* replaying every frame the OS recorded can at best rebuild the
         same bytes — and those are stale everywhere now *)
-     let replayed = Cloak.Migrate.receiver dst_vmm ~session:st.session in
+     let replayed = Cloak.Migrate.receiver dst.vmm ~session:st.session in
      List.iter (fun w -> ignore (Cloak.Migrate.deliver replayed w)) wire;
      (match Cloak.Migrate.blob replayed with
      | Some b when not (Bytes.equal b blob) ->
@@ -273,7 +240,7 @@ let run_once ~plan ~seed =
          let t = Bytes.copy w in
          let i = Bytes.length t / 2 in
          Bytes.set t i (Char.chr (Char.code (Bytes.get t i) lxor 0x40));
-         let r2 = Cloak.Migrate.receiver dst_vmm ~session:st.session in
+         let r2 = Cloak.Migrate.receiver dst.vmm ~session:st.session in
          if Cloak.Migrate.deliver r2 t <> [] then
            probe "tampered frame was acknowledged";
          if Cloak.Migrate.blob r2 <> None then
@@ -288,21 +255,18 @@ let run_once ~plan ~seed =
     attempts = st.attempts;
     breaker = st.breaker;
     downtime = st.downtime;
-    src_units = units_of src_k;
-    dst_units = units_of dst_k;
-    src_status = Kernel.exit_status src_k ~pid;
-    dst_status = Kernel.exit_status dst_k ~pid;
+    src_units = units_of src.k;
+    dst_units = units_of dst.k;
+    src_status = Kernel.exit_status src.k ~pid;
+    dst_status = Kernel.exit_status dst.k ~pid;
     wire_frames = List.length wire;
     retries = st.retries;
     mac_failures = st.mac_failures;
-    leaks;
-    audit;
-    audit_dropped;
-    crash;
-    sup = Kernel.supervision_stats src_k ~pid;
-    trace_failures =
-      Trace.Check.verdict src_trace
-      @ List.map (fun f -> "dst: " ^ f) (Trace.Check.verdict dst_trace);
+    sup = Kernel.supervision_stats src.k ~pid;
+    (* after the probes, so their audit lines and trace events are
+       checked too *)
+    obs =
+      Stack.observe ~canary:Soak.canary ~wire ~crash [ ("", src); ("dst", dst) ];
     probe_failures = List.rev !probe_failures;
     st;
   }
@@ -397,9 +361,7 @@ let run_seed ~seed =
      as if migration were never requested *)
   List.iter
     (fun (name, (r : run)) ->
-      (match r.crash with
-      | Some e -> fail (Printf.sprintf "%s: crashed: %s" name e)
-      | None -> ());
+      List.iter (fun f -> fail (name ^ ": " ^ f)) (Stack.failures r.obs);
       if r.committed then begin
         if r.src_status <> Some Kernel.migrated_exit_status then
           fail (name ^ ": committed but source incarnation not retired");
@@ -425,9 +387,7 @@ let run_seed ~seed =
       if r.downtime > bound then
         fail
           (Printf.sprintf "%s: downtime %d above bound %d" name r.downtime bound);
-      List.iter (fun l -> fail (name ^ ": canary leaked to " ^ l)) r.leaks;
       List.iter (fun f -> fail (name ^ ": " ^ f)) r.probe_failures;
-      List.iter (fun f -> fail (name ^ ": trace: " ^ f)) r.trace_failures;
       match r.sup with
       | None -> fail (name ^ ": supervision stats vanished")
       | Some s ->
@@ -437,11 +397,8 @@ let run_seed ~seed =
                  name s.Kernel.sup_migrations_attempted r.attempts);
           if r.committed && s.Kernel.sup_migrations_completed <> 1 then
             fail (name ^ ": supervision completed count diverges from driver"))
-    [ ("clean", clean); ("hostile", h1); ("blackhole", bh) ];
-  Option.iter
-    (fun what -> fail ("hostile " ^ what))
-    (Sweep.determinism_failure ~audit_a:h1.audit ~audit_b:h2.audit
-       ~dropped:(max h1.audit_dropped h2.audit_dropped));
+    [ ("clean", clean); ("hostile", h1); ("hostile replay", h2); ("blackhole", bh) ];
+  Option.iter (fun what -> fail ("hostile " ^ what)) (Stack.replay h1.obs h2.obs);
   {
     seed;
     clean_committed = clean.committed;
@@ -463,8 +420,7 @@ let run_seed ~seed =
     breaker_trips = (if h1.breaker then 1 else 0) + (if bh.breaker then 1 else 0);
     wire_frames = clean.wire_frames + h1.wire_frames + bh.wire_frames;
     audit_dropped =
-      max clean.audit_dropped
-        (max bh.audit_dropped (max h1.audit_dropped h2.audit_dropped));
+      List.fold_left (fun acc r -> max acc r.obs.audit_dropped) 0 [ clean; h1; h2; bh ];
     failures = List.rev !fails;
   }
 
@@ -506,14 +462,11 @@ let run_crash_point ~seed (p : Crash.point) =
   let r2 = run_once ~plan:(plan ()) ~seed in
   let fails = ref [] in
   let fail msg = fails := msg :: !fails in
-  Option.iter
-    (fun what -> fail ("crash replay " ^ what))
-    (Sweep.determinism_failure ~audit_a:r1.audit ~audit_b:r2.audit
-       ~dropped:(max r1.audit_dropped r2.audit_dropped));
+  Option.iter (fun what -> fail ("crash replay " ^ what)) (Stack.replay r1.obs r2.obs);
   let st = r1.st in
-  let crashed = r1.crash <> None in
+  let crashed = r1.obs.crash <> None in
   let fenced =
-    Cloak.Vmm.seal_generation st.src_vmm ~tag:(tag_of st) > st.gen
+    Cloak.Vmm.seal_generation st.src.vmm ~tag:(tag_of st) > st.gen
   in
   if not crashed then fail "crash point did not fire"
   else begin
@@ -525,14 +478,13 @@ let run_crash_point ~seed (p : Crash.point) =
           match Cloak.Migrate.blob rcv with
           | None -> fail "fenced but destination holds no verified blob"
           | Some blob -> (
-              match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
+              match Kernel.adopt_migrated st.dst.k ~policy ~prog:service blob with
               | _pid -> (
-                  (try Kernel.run st.dst_k
-                   with e -> fail ("destination run: " ^ Printexc.to_string e));
-                  if Kernel.exit_status st.dst_k ~pid:st.pid <> Some 0 then
+                  Option.iter (fun e -> fail ("destination run: " ^ e)) (Stack.run st.dst);
+                  if Kernel.exit_status st.dst.k ~pid:st.pid <> Some 0 then
                     fail "migrated process did not complete at destination";
                   (* never run two incarnations *)
-                  match Kernel.adopt_migrated st.dst_k ~policy ~prog:service blob with
+                  match Kernel.adopt_migrated st.dst.k ~policy ~prog:service blob with
                   | _ -> fail "blob adopted twice after a crash"
                   | exception e when Migration.is_stale e -> ())
               | exception e ->
@@ -543,9 +495,9 @@ let run_crash_point ~seed (p : Crash.point) =
           if Cloak.Migrate.committed rcv then
             fail "receiver committed before the source fenced";
           (* the source remains recoverable from its latest checkpoint *)
-          match Kernel.supervision_stats st.src_k ~pid:st.pid with
+          match Kernel.supervision_stats st.src.k ~pid:st.pid with
           | Some { Kernel.sup_last_checkpoint = Some b; _ } -> (
-              match Cloak.Seal.unseal st.src_vmm b with
+              match Cloak.Seal.unseal st.src.vmm b with
               | _ -> ()
               | exception e ->
                   fail

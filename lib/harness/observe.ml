@@ -58,7 +58,7 @@ let run ?(seed = 7) () =
     fail "enabled run recorded no fleet metric samples";
   if Telemetry.span_count on_.Fleet.r_tel = 0 then
     fail "enabled run recorded no causal spans";
-  (match on_.Fleet.r_crash with
+  (match on_.Fleet.r_obs.Stack.crash with
   | Some e -> fail ("hostile run escaped the harness: " ^ e)
   | None -> ());
   List.iter (fun f -> fail ("hostile: " ^ f)) on_.Fleet.r_mech_failures;

@@ -6,7 +6,6 @@ open Machine
 open Guest
 
 let canary = "SOAK-CANARY-SEALED-STATE-SECRET!"
-let contains_canary = Sweep.contains_pattern canary
 
 (* --- the workload ---
 
@@ -174,42 +173,25 @@ let soak_plan ~seed =
 
 type run = {
   units : int;
-  cycles : int;
   restarts : int;
   circuit_breaks : int;
   checkpoints : int;
   recovery_cycles : int;
-  service_status : int option;
-  leaks : string list;
-  audit : string list;
-  audit_dropped : int;
-  crash : string option;
   stats : Kernel.supervision_stats option;
-  vmm : Cloak.Vmm.t;  (* kept for post-run stale-rollback probes *)
-  trace_failures : string list;
-  trace_dropped : int;
-  hot_spots : (string * int) list;
+  st : Stack.t;  (* kept for the hot spots and the stale-rollback probes *)
+  obs : Stack.obs;
 }
 
-let scan_leaks vmm k = Sweep.scan_leaks ~pattern:canary vmm k
-
 let run_once ~plan ~seed ~supervised =
-  let engine = Inject.create plan in
-  let vconfig = Sweep.vconfig ~salt:0xC4A05 ~seed in
-  let trace = Trace.ring () in
-  let vmm = Cloak.Vmm.create ~config:vconfig ~engine ~trace () in
-  let k = Kernel.create ~config:kconfig vmm in
+  let ({ Stack.vmm; k; _ } as st) =
+    Stack.boot ~engine:(Inject.create plan) ~salt:0xC4A05 ~seed kconfig
+  in
   let service_pid =
     if supervised then Kernel.spawn_supervised k ~policy service
     else Kernel.spawn k ~cloaked:true service
   in
   ignore (Kernel.spawn k antagonist);
-  let crash =
-    try
-      Kernel.run k;
-      None
-    with e -> Some (Printexc.to_string e)
-  in
+  let crash = Stack.run st in
   let units =
     match Fs.lookup (Kernel.fs k) "/progress" with
     | Ok ino -> Fs.size (Kernel.fs k) ino
@@ -219,47 +201,30 @@ let run_once ~plan ~seed ~supervised =
   let counters = Cloak.Vmm.counters vmm in
   {
     units;
-    cycles = Cost.cycles (Cloak.Vmm.cost vmm);
     restarts = counters.restarts;
     circuit_breaks = counters.circuit_breaks;
     checkpoints = counters.seal_checkpoints;
     recovery_cycles = (match stats with Some s -> s.sup_recovery_cycles | None -> 0);
-    service_status = Kernel.exit_status k ~pid:service_pid;
-    leaks = scan_leaks vmm k;
-    audit = Inject.Audit.lines (Cloak.Vmm.audit vmm);
-    audit_dropped = Inject.Audit.dropped (Cloak.Vmm.audit vmm);
-    crash;
     stats;
-    vmm;
-    trace_failures = Trace.Check.verdict trace;
-    trace_dropped = Trace.dropped trace;
-    hot_spots =
-      Profile.hot_spots ~root:(if supervised then "soak-sup" else "soak-unsup")
-        ~total_cycles:(Cost.cycles (Cloak.Vmm.cost vmm))
-        ~n:3 trace;
+    st;
+    obs = Stack.observe ~canary ~wire:[] ~crash [ ("", st) ];
   }
 
 (* --- invariants --- *)
 
-(* 1: privacy across restarts — the canary is never OS-visible, including
-   inside the sealed checkpoint blobs the OS stores. *)
-let check_privacy r =
-  let fails = ref [] in
-  (match r.leaks with
-  | [] -> ()
-  | l ->
-      fails := Printf.sprintf "canary leaked to: %s" (String.concat ", " l) :: !fails);
-  (match r.stats with
+(* 1: privacy across restarts — beyond the stack's own surfaces, the
+   canary is never inside the sealed checkpoint blobs the OS stores. *)
+let check_blobs r =
+  match r.stats with
+  | None -> []
   | Some s ->
-      List.iter
+      List.filter_map
         (fun (name, blob) ->
           match blob with
-          | Some b when contains_canary b ->
-              fails := Printf.sprintf "plaintext canary inside %s checkpoint blob" name :: !fails
-          | _ -> ())
+          | Some b when Stack.contains_pattern canary b ->
+              Some (Printf.sprintf "plaintext canary inside %s checkpoint blob" name)
+          | _ -> None)
         [ ("last", s.Kernel.sup_last_checkpoint); ("prev", s.Kernel.sup_prev_checkpoint) ]
-  | None -> ());
-  !fails
 
 (* 2: no stale-checkpoint acceptance — offering the previous (validly
    MAC'd) checkpoint back to the VMM must raise Stale_checkpoint, while
@@ -272,7 +237,7 @@ let check_stale r =
       (match s.Kernel.sup_prev_checkpoint with
       | None -> ()
       | Some prev -> (
-          match Cloak.Seal.unseal r.vmm prev with
+          match Cloak.Seal.unseal r.st.vmm prev with
           | _ -> fails := "stale checkpoint unsealed without a violation" :: !fails
           | exception Cloak.Violation.Security_fault v ->
               if v.Cloak.Violation.kind <> Cloak.Violation.Stale_checkpoint then
@@ -283,7 +248,7 @@ let check_stale r =
       (match s.Kernel.sup_last_checkpoint with
       | None -> ()
       | Some last -> (
-          match Cloak.Seal.unseal r.vmm last with
+          match Cloak.Seal.unseal r.st.vmm last with
           | _ -> ()
           | exception Cloak.Violation.Security_fault v ->
               fails :=
@@ -315,33 +280,24 @@ let run_seed ~seed =
   let sup = run_once ~plan ~seed ~supervised:true in
   let sup' = run_once ~plan ~seed ~supervised:true in
   let unsup = run_once ~plan ~seed ~supervised:false in
-  let fails = ref [] in
-  (match fault_free.crash with
-  | Some m -> fails := Printf.sprintf "fault-free run crashed: %s" m :: !fails
-  | None -> ());
-  List.iter
-    (fun (r : run) ->
-      match r.crash with
-      | Some m -> fails := Printf.sprintf "uncaught exception: %s" m :: !fails
-      | None -> ())
-    [ sup; unsup ];
-  (* 3: determinism — same seed, same mode, bit-identical audit *)
-  (match
-     Sweep.determinism_failure ~audit_a:sup.audit ~audit_b:sup'.audit
-       ~dropped:(max sup.audit_dropped sup'.audit_dropped)
-   with
-  | Some what -> fails := what :: !fails
-  | None -> ());
-  List.iter (fun f -> fails := f :: !fails) (check_privacy sup);
-  List.iter (fun f -> fails := f :: !fails) (check_privacy unsup);
-  List.iter (fun f -> fails := f :: !fails) (check_stale sup);
-  (* 4: trace-checked invariants over every mode, fault-free included *)
-  List.iter
-    (fun (mode, r) ->
-      List.iter
-        (fun f -> fails := Printf.sprintf "%s trace invariant: %s" mode f :: !fails)
-        r.trace_failures)
-    [ ("fault-free", fault_free); ("supervised", sup); ("unsupervised", unsup) ];
+  let runs =
+    [ ("fault-free", fault_free); ("supervised", sup); ("supervised replay", sup');
+      ("unsupervised", unsup) ]
+  in
+  (* before the stale probe below unseals on the supervised VMM *)
+  let hot_spots = Stack.hot_spots ~root:"soak-sup" sup.st in
+  (* every run: no escape, no canary on the stack's surfaces or in the
+     sealed blobs, trace invariants; then the stale-checkpoint probe and
+     determinism — same seed, same mode, bit-identical audit *)
+  let failures =
+    List.concat_map
+      (fun (mode, r) ->
+        List.map (Printf.sprintf "%s: %s" mode) (Stack.failures r.obs @ check_blobs r))
+      runs
+    @ check_stale sup
+    @ Option.to_list (Stack.replay sup.obs sup'.obs)
+  in
+  let worst f = List.fold_left (fun acc (_, r) -> max acc (f r.obs)) 0 runs in
   {
     seed;
     units_ff = fault_free.units;
@@ -351,10 +307,10 @@ let run_seed ~seed =
     circuit_breaks = sup.circuit_breaks;
     checkpoints = sup.checkpoints;
     recovery_cycles = sup.recovery_cycles;
-    audit_dropped = max sup.audit_dropped (max sup'.audit_dropped unsup.audit_dropped);
-    trace_dropped = max sup.trace_dropped (max fault_free.trace_dropped unsup.trace_dropped);
-    hot_spots = sup.hot_spots;
-    failures = List.rev !fails;
+    audit_dropped = worst (fun o -> o.audit_dropped);
+    trace_dropped = worst (fun o -> o.trace_dropped);
+    hot_spots;
+    failures;
   }
 
 let failures r = r.failures
@@ -438,13 +394,4 @@ let pp_seed_report ppf r =
     (match r.failures with
     | [] -> ""
     | l -> " FAIL " ^ String.concat "; " l);
-  match r.hot_spots with
-  | [] ->
-      if r.trace_dropped > 0 then
-        Format.fprintf ppf
-          "@\n    top cost centers unavailable: trace ring dropped %d events"
-          r.trace_dropped
-  | spots ->
-      Format.fprintf ppf "@\n    top cost centers:%s"
-        (String.concat ""
-           (List.map (fun (p, cy) -> Printf.sprintf " %s=%dcy" p cy) spots))
+  Stack.pp_hot_spots ~trace_dropped:r.trace_dropped ppf r.hot_spots

@@ -24,7 +24,6 @@
     plans (a sweep-level failure of {!summary}). *)
 
 val canary : string
-val contains_canary : bytes -> bool
 
 val rounds : int
 (** Units of work a fault-free service completes. *)
@@ -34,11 +33,6 @@ val kconfig : Guest.Kernel.config
     anchored for the stale-checkpoint invariant to mean anything). *)
 
 val policy : Guest.Kernel.restart_policy
-
-val scan_leaks : Cloak.Vmm.t -> Guest.Kernel.t -> string list
-(** Every OS-visible surface (machine memory, RAM remanence, disk and swap
-    blocks) holding the canary, for harnesses that plant it — shared with
-    the migration harness, which also scans its wire frames. *)
 
 val soak_plan : seed:int -> Inject.plan
 (** The seed's chaos plan plus recurring lethal rules. [Seal_write] and
@@ -56,16 +50,19 @@ type seed_report = {
   checkpoints : int;
   recovery_cycles : int;
   audit_dropped : int;
-      (** worst audit-ring truncation across the seed's runs *)
+      (** worst audit-ring truncation across the seed's four runs *)
   trace_dropped : int;
       (** worst flight-recorder ring truncation across the seed's runs *)
   hot_spots : (string * int) list;
       (** the supervised run's top self-cycle call contexts
-          ({!Profile.hot_spots}) — where a flagged perf regression most
+          ({!Stack.hot_spots}) — where a flagged perf regression most
           likely lives; empty when that run's trace ring wrapped *)
   failures : string list;
-      (** broken invariants (privacy, staleness, determinism, and the
-          flight-recorder trace checks over every mode); empty = passed *)
+      (** broken invariants: {!Stack.failures} plus the checkpoint-blob
+          canary scan for every run, each prefixed by its mode
+          (["fault-free: "], ["supervised: "], ["supervised replay: "],
+          ["unsupervised: "]), then the stale-checkpoint probe and
+          determinism; empty = passed *)
 }
 
 (** {1 The sweep}

@@ -1,42 +1,11 @@
-(* Shared seed-sweep scaffolding for the antagonist harnesses: canary
-   scanning over every OS-visible surface, the common VMM config
-   derivation, the truncation-aware determinism check, the host clock,
-   and the one contract plus runner every sweep subcommand is built from.
+(* Shared seed-sweep scaffolding for the antagonist harnesses: seed
+   spacing, the truncation-aware determinism check, the host clock, and
+   the one contract plus runner every sweep subcommand is built from.
    See sweep.mli. *)
-
-open Machine
-open Guest
-
-let contains_pattern pattern data =
-  let n = String.length pattern and len = Bytes.length data in
-  let rec at i j = j >= n || (Bytes.get data (i + j) = pattern.[j] && at i (j + 1)) in
-  let rec go i = i + n <= len && (at i 0 || go (i + 1)) in
-  go 0
-
-let scan_leaks ~pattern vmm k =
-  let leaks = ref [] in
-  let add where = if not (List.mem where !leaks) then leaks := where :: !leaks in
-  let mem = Cloak.Vmm.mem vmm in
-  Phys_mem.iter_allocated mem (fun mpn data ->
-      if contains_pattern pattern data then add (Printf.sprintf "machine page %d" mpn));
-  Phys_mem.iter_remanent mem (fun mpn data ->
-      if contains_pattern pattern data then add (Printf.sprintf "remanent page %d" mpn));
-  let scan_dev name dev =
-    for b = 0 to Blockdev.block_count dev - 1 do
-      if contains_pattern pattern (Blockdev.peek dev b) then
-        add (Printf.sprintf "%s block %d" name b)
-    done
-  in
-  scan_dev "disk" (Kernel.disk k);
-  scan_dev "swap" (Kernel.swap_device k);
-  List.rev !leaks
 
 (* Seeds spaced by a prime so consecutive sweep indices cannot alias the
    generators' xor-based salts. *)
 let seeds_from ~base ~count = List.init (max 0 count) (fun i -> base + (i * 7919))
-
-let vconfig ~salt ~seed =
-  { Cloak.Vmm.default_config with seed = salt lxor (seed * 0x2545F491) }
 
 (* The one phrasing of "the bounded audit ring wrapped" every harness
    report shares, so log-scraping and the determinism verdict below stay

@@ -2,28 +2,17 @@
 
     Chaos, crash, soak, migrate, fleet and adversary all follow the same
     shape: derive a fault plan per seed, run a canary-carrying workload
-    under it on a seed-salted VMM, scan every OS-visible surface for the
-    canary, re-run the same seed and compare audit logs (tolerating a
-    truncated bounded ring), then aggregate per-seed failures. The
-    mechanics live here once; each harness keeps only its workload, plan
-    generator and invariants, and states them through {!S}. *)
-
-val contains_pattern : string -> bytes -> bool
-(** Substring scan — the canary detector shared by every privacy check. *)
-
-val scan_leaks : pattern:string -> Cloak.Vmm.t -> Guest.Kernel.t -> string list
-(** Every OS-visible surface (allocated machine pages, RAM remanence, disk
-    and swap blocks) holding [pattern], as human-readable locations. *)
+    under it on a seed-salted VMM, check the run, re-run the same seed and
+    compare audit logs (tolerating a truncated bounded ring), then
+    aggregate per-seed failures. The seed spacing, the determinism
+    verdict, the host clock and the runner live here once; the stack and
+    the per-run checks live in {!Stack}; each harness keeps only its
+    workload, plan generator and own invariants, and states them through
+    {!S}. *)
 
 val seeds_from : base:int -> count:int -> int list
 (** [base, base+7919, ...] — prime-spaced so sweep indices cannot alias
     the plan generators' xor salts. *)
-
-val vconfig : salt:int -> seed:int -> Cloak.Vmm.config
-(** The per-seed VMM config every harness derives: default config with
-    [seed = salt lxor (seed * 0x2545F491)]. Stacks sharing a salt and seed
-    share the fleet master secret (what migration and fleet need); distinct
-    salts keep harnesses' key material independent. *)
 
 val truncation_note : int -> string option
 (** [truncation_note dropped] is the shared human-readable notice that the

@@ -29,9 +29,3 @@ let record t fmt =
 let lines t = List.of_seq (Queue.to_seq t.ring)
 let count t = t.seq
 let dropped t = t.dropped
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun l -> Format.fprintf ppf "%s@," l) (lines t);
-  if t.dropped > 0 then Format.fprintf ppf "(… %d earlier entries dropped)@," t.dropped;
-  Format.fprintf ppf "@]"

@@ -114,17 +114,6 @@ type plan = { seed : int; rules : rule list }
 
 let plan ?(seed = 0) rules = { seed; rules }
 
-let pp_rule ppf r =
-  Format.fprintf ppf "%s %s start=%d every=%d count=%s"
-    (site_to_string r.site) (action_to_string r.action) r.trigger.start
-    r.trigger.every
-    (if r.trigger.count = max_int then "inf" else string_of_int r.trigger.count)
-
-let pp_plan ppf p =
-  Format.fprintf ppf "@[<v>plan seed=%d (%d rules)@," p.seed (List.length p.rules);
-  List.iter (fun r -> Format.fprintf ppf "  %a@," pp_rule r) p.rules;
-  Format.fprintf ppf "@]"
-
 (* --- engine --- *)
 
 type armed = { rule : rule; mutable fired : int }
@@ -148,7 +137,6 @@ let create ?audit plan =
 
 let audit t = t.audit
 let injections t = t.injections
-let the_plan t = t.plan
 
 let matches occ (a : armed) =
   let { start; every; count } = a.rule.trigger in

@@ -102,9 +102,6 @@ val random_plan : seed:int -> plan
 (** A small plan drawn deterministically from [seed]: 1-6 rules over the
     full site menu with site-appropriate actions. *)
 
-val pp_rule : Format.formatter -> rule -> unit
-val pp_plan : Format.formatter -> plan -> unit
-
 (** {1 Engine} *)
 
 type t
@@ -127,4 +124,3 @@ val injections : t -> int
 (** Total rule firings so far. *)
 
 val occurrences : t -> site -> int
-val the_plan : t -> plan

@@ -1,9 +1,5 @@
 type access = Read | Write
 
-let pp_access ppf = function
-  | Read -> Format.pp_print_string ppf "read"
-  | Write -> Format.pp_print_string ppf "write"
-
 type page_fault_kind = Not_present | Protection
 
 type page_fault = { vpn : Addr.vpn; access : access; kind : page_fault_kind }
@@ -18,7 +14,3 @@ exception Machine_check of string
    guest kernel contains it by killing the faulting process. *)
 
 let machine_check fmt = Format.kasprintf (fun s -> raise (Machine_check s)) fmt
-
-let pp_page_fault ppf { vpn; access; kind } =
-  Format.fprintf ppf "page fault: vpn=%#x %a (%s)" vpn pp_access access
-    (match kind with Not_present -> "not present" | Protection -> "protection")

@@ -2,8 +2,6 @@
 
 type access = Read | Write
 
-val pp_access : Format.formatter -> access -> unit
-
 type page_fault_kind =
   | Not_present   (** no guest translation for the VPN *)
   | Protection    (** write to a read-only mapping, or user access to a
@@ -20,7 +18,6 @@ exception Guest_page_fault of page_fault
     resolve it (demand-fill, swap-in, COW) and retry. *)
 
 val guest_fault : Addr.vpn -> access -> page_fault_kind -> 'a
-val pp_page_fault : Format.formatter -> page_fault -> unit
 
 exception Machine_check of string
 (** Simulated hardware detected inconsistent state — e.g. a stale TLB or

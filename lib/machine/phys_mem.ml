@@ -2,7 +2,6 @@ type t = {
   pages : bytes option array;
   mutable free_list : int list;
   mutable next_fresh : int;
-  mutable used : int;
   engine : Inject.t option;
   (* MPNs whose release was hit by a Fail_scrub injection: the old contents
      survive in the pool (RAM remanence) and resurface unzeroed when the
@@ -19,16 +18,12 @@ let create ?engine ~pages () =
     pages = Array.make pages None;
     free_list = [];
     next_fresh = 0;
-    used = 0;
     engine;
     remanent = Hashtbl.create 8;
     trace = Trace.null;
   }
 
 let set_trace t trace = t.trace <- trace
-
-let capacity t = Array.length t.pages
-let in_use t = t.used
 
 (* Prefer never-used page numbers so that a freed page's MPN is not
    immediately recycled: a dangling "home" reference from cloaked-page
@@ -59,7 +54,6 @@ let alloc t =
     | None -> Bytes.make Addr.page_size '\000'
   in
   t.pages.(mpn) <- Some backing;
-  t.used <- t.used + 1;
   mpn
 
 let backing t mpn =
@@ -76,7 +70,6 @@ let free t mpn =
   | Some _ | None -> ());
   t.pages.(mpn) <- None;
   t.free_list <- mpn :: t.free_list;
-  t.used <- t.used - 1;
   Trace.emit t.trace ~pid:mpn Trace.Frame_free
 
 let allocated t mpn =

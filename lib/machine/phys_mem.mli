@@ -29,9 +29,6 @@ val free : t -> Addr.mpn -> unit
 (** Return a page to the pool. The page contents are scrubbed unless a
     [Fail_scrub] injection fires. *)
 
-val capacity : t -> int
-val in_use : t -> int
-
 val allocated : t -> Addr.mpn -> bool
 (** Whether the MPN currently backs an allocation. *)
 

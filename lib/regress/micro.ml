@@ -16,19 +16,6 @@ type shape =
 
 type micro = { name : string; iters : int; shape : shape }
 
-let read_exact u ~fd ~vaddr ~len =
-  let got = ref 0 in
-  while !got < len do
-    let n = Uapi.read u ~fd ~vaddr:(vaddr + !got) ~len:(len - !got) in
-    if n = 0 then got := len else got := !got + n
-  done
-
-let write_exact u ~fd ~vaddr ~len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(vaddr + !sent) ~len:(len - !sent)
-  done
-
 let micro_getpid =
   { name = "getpid"; iters = 1000; shape = Simple (fun u () -> ignore (Uapi.getpid u)) }
 
@@ -66,10 +53,10 @@ let micro_read4k =
           let fd = Uapi.openf u "/bench-rd" [ Abi.O_CREAT; Abi.O_RDWR ] in
           let buf = Uapi.malloc u 4096 in
           Uapi.store u ~vaddr:buf (Bytes.make 4096 'r');
-          write_exact u ~fd ~vaddr:buf ~len:4096;
+          Uapi.write_exact u ~fd ~vaddr:buf ~len:4096;
           fun () ->
             ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
-            read_exact u ~fd ~vaddr:buf ~len:4096);
+            ignore (Uapi.read_exact u ~fd ~vaddr:buf ~len:4096));
   }
 
 let micro_write4k =
@@ -84,7 +71,7 @@ let micro_write4k =
           Uapi.store u ~vaddr:buf (Bytes.make 4096 'w');
           fun () ->
             ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
-            write_exact u ~fd ~vaddr:buf ~len:4096);
+            Uapi.write_exact u ~fd ~vaddr:buf ~len:4096);
   }
 
 let micro_signal =
@@ -151,8 +138,8 @@ let micro_pipe_rtt =
           let buf = Uapi.malloc u 64 in
           Uapi.store u ~vaddr:buf (Bytes.make 64 'p');
           fun () ->
-            write_exact u ~fd:request_fd ~vaddr:buf ~len:64;
-            read_exact u ~fd:response_fd ~vaddr:buf ~len:64);
+            Uapi.write_exact u ~fd:request_fd ~vaddr:buf ~len:64;
+            ignore (Uapi.read_exact u ~fd:response_fd ~vaddr:buf ~len:64));
   }
 
 let all =
@@ -175,14 +162,8 @@ let echo_server ~request_fd ~response_fd env =
   let u = Uapi.of_env env in
   if Uapi.cloaked u then ignore (Oshim.Shim.install u);
   let buf = Uapi.malloc u 64 in
-  let eof = ref false in
-  while not !eof do
-    let got = ref 0 in
-    while !got < 64 && not !eof do
-      let n = Uapi.read u ~fd:request_fd ~vaddr:(buf + !got) ~len:(64 - !got) in
-      if n = 0 then eof := true else got := !got + n
-    done;
-    if not !eof then write_exact u ~fd:response_fd ~vaddr:buf ~len:64
+  while Uapi.read_exact u ~fd:request_fd ~vaddr:buf ~len:64 = 64 do
+    Uapi.write_exact u ~fd:response_fd ~vaddr:buf ~len:64
   done;
   Uapi.exit u 0
 

@@ -33,39 +33,32 @@ let direct_dispatch t call = t.direct call
    lying is refused with a typed [Hostile_os] the application can turn
    into bounded degradation. *)
 
-let vmm_of_env (env : Abi.env) = env.Abi.vmm
-
-let note_lie_env env ~call reason =
-  let vmm = vmm_of_env env in
-  let c = Cloak.Vmm.counters vmm in
-  c.Counters.hostile_lies_detected <- c.Counters.hostile_lies_detected + 1;
-  Inject.Audit.record (Cloak.Vmm.audit vmm) "shim lie [%s] %s" call reason
-
-let refuse_env env ~call reason =
-  let vmm = vmm_of_env env in
-  let c = Cloak.Vmm.counters vmm in
+let refuse (env : Abi.env) ~call reason =
+  let c = Cloak.Vmm.counters env.Abi.vmm in
   c.Counters.hostile_refusals <- c.Counters.hostile_refusals + 1;
-  Inject.Audit.record (Cloak.Vmm.audit vmm) "shim refusal [%s] %s" call reason;
+  Inject.Audit.record (Cloak.Vmm.audit env.Abi.vmm) "shim refusal [%s] %s" call reason;
   raise (Hostile_os { call; reason })
 
-let note_lie t ~call reason = note_lie_env (Uapi.env t.u) ~call reason
-let refuse t ~call reason = refuse_env (Uapi.env t.u) ~call reason
-
-(* Issue [call] through [direct] until [check] accepts the result, giving
-   the kernel [paraverify_retries] second chances; [describe] names the
-   lie for the audit trail and the refusal. *)
-let paraverified t ~name ~check ~describe call =
+(* The one paraverification loop: issue [call] through [direct] until
+   [accept] takes the result, giving the kernel [paraverify_retries]
+   second chances; [describe] names each lie for the audit trail and the
+   refusal. *)
+let paraverify (env : Abi.env) direct ~name ~accept ~describe call =
   let rec go attempt =
-    let v = t.direct call in
-    if check v then v
-    else begin
-      let reason = describe v in
-      note_lie t ~call:name reason;
-      if attempt >= paraverify_retries then refuse t ~call:name reason
-      else go (attempt + 1)
-    end
+    let v = direct call in
+    match accept v with
+    | Some x -> x
+    | None ->
+        let reason = describe v in
+        let c = Cloak.Vmm.counters env.Abi.vmm in
+        c.Counters.hostile_lies_detected <- c.Counters.hostile_lies_detected + 1;
+        Inject.Audit.record (Cloak.Vmm.audit env.Abi.vmm) "shim lie [%s] %s" name reason;
+        if attempt >= paraverify_retries then refuse env ~call:name reason
+        else go (attempt + 1)
   in
   go 0
+
+let paraverified t = paraverify (Uapi.env t.u) t.direct
 
 let describe_value = function
   | Abi.Unit -> "unit"
@@ -80,14 +73,7 @@ let describe_value = function
    paraverification must see through it — otherwise [Signaled (s, Int n)]
    would smuggle an unbounded n past a check that only inspects the top
    constructor. *)
-let rec strip_signals = function
-  | Abi.Signaled (s, v) ->
-      let ss, inner = strip_signals v in
-      (s :: ss, inner)
-  | v -> ([], v)
-
-let rec rewrap_signals ss v =
-  match ss with [] -> v | s :: rest -> Abi.Signaled (s, rewrap_signals rest v)
+let rec strip_signals = function Abi.Signaled (_, v) -> strip_signals v | v -> v
 
 (* Move [len] bytes between cloaked memory and the marshal buffer from the
    application's own (plaintext) view. This is the copy the shim pays so
@@ -105,23 +91,18 @@ let user_copy t ~src ~dst ~len =
    signal wrappers pass through: they move no bytes. *)
 let shim_read t ~fd ~vaddr ~len =
   let chunk = min len t.marshal_bytes in
-  let v =
-    paraverified t ~name:"read"
-      ~check:(fun v ->
-        match snd (strip_signals v) with
-        | Abi.Int n -> n >= 0 && n <= chunk
-        | Abi.Err _ -> true
-        | _ -> false)
-      ~describe:(fun v ->
-        Printf.sprintf "kernel returned %s for a %d-byte read request"
-          (describe_value (snd (strip_signals v))) chunk)
-      (Abi.Read { fd; vaddr = t.marshal_vaddr; len = chunk })
-  in
-  match strip_signals v with
-  | ss, Abi.Int n when n > 0 ->
-      user_copy t ~src:t.marshal_vaddr ~dst:vaddr ~len:n;
-      rewrap_signals ss (Abi.Int n)
-  | _ -> v
+  paraverified t ~name:"read"
+    ~accept:(fun v ->
+      match strip_signals v with
+      | Abi.Int n when n > 0 && n <= chunk ->
+          user_copy t ~src:t.marshal_vaddr ~dst:vaddr ~len:n;
+          Some v
+      | Abi.Int 0 | Abi.Err _ -> Some v
+      | _ -> None)
+    ~describe:(fun v ->
+      Printf.sprintf "kernel returned %s for a %d-byte read request"
+        (describe_value (strip_signals v)) chunk)
+    (Abi.Read { fd; vaddr = t.marshal_vaddr; len = chunk })
 
 (* A write result claiming more bytes than the shim marshaled would make
    the application silently skip data it never wrote. *)
@@ -129,21 +110,21 @@ let shim_write t ~fd ~vaddr ~len =
   let chunk = min len t.marshal_bytes in
   user_copy t ~src:vaddr ~dst:t.marshal_vaddr ~len:chunk;
   paraverified t ~name:"write"
-    ~check:(fun v ->
-      match snd (strip_signals v) with
-      | Abi.Int n -> n >= 0 && n <= chunk
-      | Abi.Err _ -> true
-      | _ -> false)
+    ~accept:(fun v ->
+      match strip_signals v with
+      | Abi.Int n when n >= 0 && n <= chunk -> Some v
+      | Abi.Err _ -> Some v
+      | _ -> None)
     ~describe:(fun v ->
       Printf.sprintf "kernel returned %s for a %d-byte write request"
-        (describe_value (snd (strip_signals v))) chunk)
+        (describe_value (strip_signals v)) chunk)
     (Abi.Write { fd; vaddr = t.marshal_vaddr; len = chunk })
 
 (* The marshal buffer holds exactly one in-flight syscall's data. A kernel
    that re-enters the shim mid-marshal (a scheduling attack) would clobber
    it, so the latch converts re-entry into a typed refusal. *)
 let with_marshal t ~name f =
-  if t.entered then refuse t ~call:name "shim re-entered mid-marshal";
+  if t.entered then refuse (Uapi.env t.u) ~call:name "shim re-entered mid-marshal";
   t.entered <- true;
   Fun.protect ~finally:(fun () -> t.entered <- false) f
 
@@ -160,41 +141,37 @@ let dispatch t (call : Abi.call) =
   | Abi.Getpid ->
       let pid = (Uapi.env t.u).Abi.pid in
       paraverified t ~name:"getpid"
-        ~check:(fun v ->
-          match snd (strip_signals v) with
-          | Abi.Int p -> p = pid
-          | Abi.Err _ -> true
-          | _ -> false)
+        ~accept:(fun v ->
+          match strip_signals v with
+          | Abi.Int p when p = pid -> Some v
+          | Abi.Err _ -> Some v
+          | _ -> None)
         ~describe:(fun v ->
           Printf.sprintf "kernel answered %s to getpid for pid %d"
-            (describe_value (snd (strip_signals v))) pid)
+            (describe_value (strip_signals v)) pid)
         Abi.Getpid
   | Abi.Fork _ ->
       let v = t.direct call in
-      (match snd (strip_signals v) with
+      (match strip_signals v with
        | Abi.Int child when child > 0 -> Hashtbl.replace t.children child ()
        | _ -> ());
       v
   | Abi.Wait when Hashtbl.length t.children > 0 ->
-      let v =
-        paraverified t ~name:"wait"
-          ~check:(fun v ->
-            match snd (strip_signals v) with
-            | Abi.Pair (pid, _) -> Hashtbl.mem t.children pid
-            | Abi.Err _ -> true
-            | _ -> false)
-          ~describe:(fun v ->
-            match snd (strip_signals v) with
-            | Abi.Pair (pid, _) ->
-                Printf.sprintf
-                  "wait delivered pid %d, which this process never forked" pid
-            | v -> Printf.sprintf "kernel returned %s for wait" (describe_value v))
-          Abi.Wait
-      in
-      (match snd (strip_signals v) with
-       | Abi.Pair (pid, _) -> Hashtbl.remove t.children pid
-       | _ -> ());
-      v
+      paraverified t ~name:"wait"
+        ~accept:(fun v ->
+          match strip_signals v with
+          | Abi.Pair (pid, _) when Hashtbl.mem t.children pid ->
+              Hashtbl.remove t.children pid;
+              Some v
+          | Abi.Err _ -> Some v
+          | _ -> None)
+        ~describe:(fun v ->
+          match strip_signals v with
+          | Abi.Pair (pid, _) ->
+              Printf.sprintf
+                "wait delivered pid %d, which this process never forked" pid
+          | v -> Printf.sprintf "kernel returned %s for wait" (describe_value v))
+        Abi.Wait
   | call -> t.direct call
 
 (* A checkpoint request is a quiesce-point hypercall: the shim rings the
@@ -219,19 +196,11 @@ let install u =
   let direct = env.Abi.dispatch in
   (* the marshal buffer is deliberately NOT cloaked *)
   let start_vpn =
-    let rec go attempt =
-      match direct (Abi.Mmap { pages = marshal_pages; cloaked = false }) with
-      | Abi.Int vpn when vpn > 0 -> vpn
-      | v ->
-          let reason =
-            Printf.sprintf "mmap of the marshal buffer returned %s"
-              (describe_value v)
-          in
-          note_lie_env env ~call:"mmap" reason;
-          if attempt >= paraverify_retries then refuse_env env ~call:"mmap" reason
-          else go (attempt + 1)
-    in
-    go 0
+    paraverify env direct ~name:"mmap"
+      ~accept:(function Abi.Int vpn when vpn > 0 -> Some vpn | _ -> None)
+      ~describe:(fun v ->
+        Printf.sprintf "mmap of the marshal buffer returned %s" (describe_value v))
+      (Abi.Mmap { pages = marshal_pages; cloaked = false })
   in
   let t =
     {
@@ -248,7 +217,7 @@ let install u =
      could land in unmapped or foreign memory *)
   Uapi.store_byte t.u ~vaddr:(t.marshal_vaddr + t.marshal_bytes - 1) 0xA5;
   if Uapi.load_byte t.u ~vaddr:(t.marshal_vaddr + t.marshal_bytes - 1) <> 0xA5 then
-    refuse t ~call:"mmap" "marshal buffer shrunk or not backed";
+    refuse env ~call:"mmap" "marshal buffer shrunk or not backed";
   (* registering the shim with the VMM is one hypercall *)
   Cloak.Vmm.hypercall env.Abi.vmm;
   env.Abi.dispatch <- dispatch t;

@@ -50,9 +50,16 @@ val checkpoint : t -> int
     checkpoint now; returns the new seal generation. Raises
     [Guest.Errno.Error EINVAL] for unsupervised processes. *)
 
-val note_lie : t -> call:string -> string -> unit
-(** Audit and count a detected kernel lie (for shim-adjacent layers like
-    {!Shim_io} that paraverify their own direct syscalls). *)
-
-val refuse : t -> call:string -> string -> 'a
-(** Audit and count a refusal, then raise {!Hostile_os}. *)
+val paraverified :
+  t ->
+  name:string ->
+  accept:(Guest.Abi.value -> 'a option) ->
+  describe:(Guest.Abi.value -> string) ->
+  Guest.Abi.call ->
+  'a
+(** The one paraverification loop. Issue the call through the direct
+    dispatcher until [accept] returns the value the caller wants. Each
+    result it turns down is a lie: audited as ["shim lie [name] reason"]
+    (reason from [describe]) and counted. After {!paraverify_retries}
+    retries the call is refused: audited, counted, and raised as
+    {!Hostile_os}. {!Shim_io} uses it for its direct syscalls. *)

@@ -23,20 +23,12 @@ let asid_of shim = (Uapi.env (Shim.uapi shim)).Abi.asid
    belong to the shm object, not to the process's anon resource. *)
 let map_object shim resource pages =
   let start_vpn =
-    let rec go attempt =
-      match Shim.direct_dispatch shim (Abi.Mmap { pages; cloaked = false }) with
-      | Abi.Int vpn when vpn > 0 -> vpn
-      | v ->
-          let reason =
-            Printf.sprintf "mmap of a %d-page object returned %s" pages
-              (match v with Abi.Int n -> "vpn " ^ string_of_int n | _ -> "a non-integer")
-          in
-          Shim.note_lie shim ~call:"mmap" reason;
-          if attempt >= Shim.paraverify_retries then
-            Shim.refuse shim ~call:"mmap" reason
-          else go (attempt + 1)
-    in
-    go 0
+    Shim.paraverified shim ~name:"mmap"
+      ~accept:(function Abi.Int vpn when vpn > 0 -> Some vpn | _ -> None)
+      ~describe:(fun v ->
+        Printf.sprintf "mmap of a %d-page object returned %s" pages
+          (match v with Abi.Int n -> "vpn " ^ string_of_int n | _ -> "a non-integer"))
+      (Abi.Mmap { pages; cloaked = false })
   in
   Cloak.Vmm.hypercall (vmm_of shim);
   Cloak.Vmm.cloak_range (vmm_of shim) ~asid:(asid_of shim) ~resource ~start_vpn ~pages
@@ -69,22 +61,16 @@ let write shim f ~pos data =
    walk the cursor out of the region — an Iago lie, audited and (after
    bounded retries) refused with [Shim.Hostile_os]. *)
 let checked_progress shim ~name ~remaining call =
-  let rec go attempt =
-    match Shim.direct_dispatch shim call with
-    | Abi.Int n when n >= 0 && n <= remaining -> Ok n
-    | Abi.Err e -> Error e
-    | v ->
-        let reason =
-          Printf.sprintf
-            "kernel claimed %s progress for a %d-byte %s request"
-            (match v with Abi.Int n -> string_of_int n ^ "-byte" | _ -> "non-integer")
-            remaining name
-        in
-        Shim.note_lie shim ~call:name reason;
-        if attempt >= Shim.paraverify_retries then Shim.refuse shim ~call:name reason
-        else go (attempt + 1)
-  in
-  go 0
+  Shim.paraverified shim ~name
+    ~accept:(function
+      | Abi.Int n when n >= 0 && n <= remaining -> Some (Ok n)
+      | Abi.Err e -> Some (Error e)
+      | _ -> None)
+    ~describe:(fun v ->
+      Printf.sprintf "kernel claimed %s progress for a %d-byte %s request"
+        (match v with Abi.Int n -> string_of_int n ^ "-byte" | _ -> "non-integer")
+        remaining name)
+    call
 
 (* Write [len] bytes starting at [vaddr] to [fd] with the *direct*
    dispatcher: the kernel copies straight from the region, which for a

@@ -260,7 +260,6 @@ type t = {
   mutable t_samples : int;
   mutable t_spans : Causal.span list;  (* newest first *)
   mutable t_span_count : int;
-  mutable t_spans_dropped : int;
 }
 
 let null =
@@ -272,7 +271,6 @@ let null =
     t_samples = 0;
     t_spans = [];
     t_span_count = 0;
-    t_spans_dropped = 0;
   }
 
 let create ?(window_cycles = default_window_cycles)
@@ -287,7 +285,6 @@ let create ?(window_cycles = default_window_cycles)
     t_samples = 0;
     t_spans = [];
     t_span_count = 0;
-    t_spans_dropped = 0;
   }
 
 let enabled t = t.live
@@ -360,22 +357,18 @@ let observe t ?(host = -1) ~at name v =
   end
 
 let span ?(host = -1) t ~tid ~hop ~seq ~t0 ~t1 =
-  if t.live then begin
-    if t.t_span_count >= t.span_cap then
-      t.t_spans_dropped <- t.t_spans_dropped + 1
-    else begin
-      t.t_spans <-
-        {
-          Causal.cs_tid = tid;
-          cs_host = host;
-          cs_hop = hop;
-          cs_seq = seq;
-          cs_t0 = t0;
-          cs_t1 = t1;
-        }
-        :: t.t_spans;
-      t.t_span_count <- t.t_span_count + 1
-    end
+  if t.live && t.t_span_count < t.span_cap then begin
+    t.t_spans <-
+      {
+        Causal.cs_tid = tid;
+        cs_host = host;
+        cs_hop = hop;
+        cs_seq = seq;
+        cs_t0 = t0;
+        cs_t1 = t1;
+      }
+      :: t.t_spans;
+    t.t_span_count <- t.t_span_count + 1
   end
 
 (* ---------------------------------------------------------------- *)
@@ -383,7 +376,6 @@ let span ?(host = -1) t ~tid ~hop ~seq ~t0 ~t1 =
 
 let samples t = t.t_samples
 let span_count t = t.t_span_count
-let spans_dropped t = t.t_spans_dropped
 
 let names t =
   Hashtbl.fold
@@ -456,12 +448,6 @@ let hist_windows t ?(host = -1) name =
       |> List.filter_map (fun (w, c) ->
              match c with Wdist h -> Some (w, h) | _ -> None)
 
-let hist_total t ?host name =
-  match hist_windows t ?host name with
-  | [] -> None
-  | (_, h) :: rest ->
-      Some (List.fold_left (fun a (_, h) -> Trace.Hist.merge a h) h rest)
-
 let hist_windows_all t name =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -533,8 +519,7 @@ let blend_into dst src =
     src.series;
   dst.t_samples <- dst.t_samples + src.t_samples;
   dst.t_spans <- src.t_spans @ dst.t_spans;
-  dst.t_span_count <- dst.t_span_count + src.t_span_count;
-  dst.t_spans_dropped <- dst.t_spans_dropped + src.t_spans_dropped
+  dst.t_span_count <- dst.t_span_count + src.t_span_count
 
 let merge a b =
   match (a.live, b.live) with

@@ -39,7 +39,7 @@ val create : ?window_cycles:int -> ?span_cap:int -> unit -> t
 (** A live registry bucketing samples into windows of [window_cycles]
     model cycles (default {!default_window_cycles}) and retaining at most
     [span_cap] causal spans (default {!default_span_cap}; older spans are
-    never evicted — excess ones are counted in {!spans_dropped}). *)
+    never evicted — excess ones are not recorded). *)
 
 val default_window_cycles : int
 val default_span_cap : int
@@ -81,7 +81,6 @@ val samples : t -> int
     histogram observations). *)
 
 val span_count : t -> int
-val spans_dropped : t -> int
 
 val names : t -> string list
 (** Distinct series names, sorted. *)
@@ -106,9 +105,6 @@ val gauge_windows : t -> ?host:int -> string -> (int * int * int * int) list
 
 val hist_windows : t -> ?host:int -> string -> (int * Trace.Hist.h) list
 (** Per-window histograms for one host's series, ascending by window. *)
-
-val hist_total : t -> ?host:int -> string -> Trace.Hist.h option
-(** All of one host's windows merged into a single histogram. *)
 
 val hist_windows_all : t -> string -> (int * Trace.Hist.h) list
 (** Per-window histograms merged across all hosts carrying [name]. *)

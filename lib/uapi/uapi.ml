@@ -112,7 +112,6 @@ let compute t ~cycles =
 (* --- processes --- *)
 
 let getpid t = expect_int t Abi.Getpid
-let getppid t = expect_int t Abi.Getppid
 let yield t = expect_unit t Abi.Yield
 
 let exit t status =
@@ -144,6 +143,23 @@ let openf t path flags = expect_int t (Abi.Open { path; flags })
 let close t fd = expect_unit t (Abi.Close fd)
 let read t ~fd ~vaddr ~len = expect_int t (Abi.Read { fd; vaddr; len })
 let write t ~fd ~vaddr ~len = expect_int t (Abi.Write { fd; vaddr; len })
+
+let read_exact t ~fd ~vaddr ~len =
+  let rec go got =
+    if got >= len then got
+    else
+      match read t ~fd ~vaddr:(vaddr + got) ~len:(len - got) with
+      | 0 -> got
+      | n -> go (got + n)
+  in
+  go 0
+
+let write_exact t ~fd ~vaddr ~len =
+  let rec go sent =
+    if sent < len then go (sent + write t ~fd ~vaddr:(vaddr + sent) ~len:(len - sent))
+  in
+  go 0
+
 let lseek t ~fd ~pos ~whence = expect_int t (Abi.Lseek { fd; pos; whence })
 
 let stat t path =
@@ -205,11 +221,7 @@ let write_bytes t ~fd data =
   let len = Bytes.length data in
   let vaddr = bounce_buffer t len in
   store t ~vaddr data;
-  let written = ref 0 in
-  while !written < len do
-    let n = write t ~fd ~vaddr:(vaddr + !written) ~len:(len - !written) in
-    written := !written + n
-  done
+  write_exact t ~fd ~vaddr ~len
 
 (* --- signals --- *)
 
@@ -222,7 +234,3 @@ let on_signal t ~signum handler =
 let ignore_signal t ~signum =
   Hashtbl.remove t.env.Abi.handlers signum;
   expect_unit t (Abi.Signal { signum; disposition = Abi.Ignore })
-
-let default_signal t ~signum =
-  Hashtbl.remove t.env.Abi.handlers signum;
-  expect_unit t (Abi.Signal { signum; disposition = Abi.Default })

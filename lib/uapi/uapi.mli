@@ -35,7 +35,6 @@ val compute : t -> cycles:int -> unit
 (** {1 Processes} *)
 
 val getpid : t -> int
-val getppid : t -> int
 val yield : t -> unit
 val exit : t -> int -> 'a
 val fork : t -> child:Guest.Abi.program -> int
@@ -59,6 +58,15 @@ val openf : t -> string -> Guest.Abi.open_flag list -> int
 val close : t -> int -> unit
 val read : t -> fd:int -> vaddr:Machine.Addr.vaddr -> len:int -> int
 val write : t -> fd:int -> vaddr:Machine.Addr.vaddr -> len:int -> int
+
+val read_exact : t -> fd:int -> vaddr:Machine.Addr.vaddr -> len:int -> int
+(** Read [len] bytes into [vaddr], re-issuing [read] after short ones;
+    returns the bytes read, which is less than [len] only at EOF. *)
+
+val write_exact : t -> fd:int -> vaddr:Machine.Addr.vaddr -> len:int -> unit
+(** Write all [len] bytes at [vaddr], re-issuing [write] after short
+    ones. *)
+
 val read_bytes : t -> fd:int -> len:int -> bytes
 (** Read through a heap bounce buffer; loops until [len] or EOF. *)
 
@@ -100,7 +108,6 @@ val on_signal : t -> signum:int -> (int -> unit) -> unit
 (** Install a user handler, run by the dispatch loop on delivery. *)
 
 val ignore_signal : t -> signum:int -> unit
-val default_signal : t -> signum:int -> unit
 
 val syscall : t -> Guest.Abi.call -> Guest.Abi.value
 (** Escape hatch used by the shim and by tests. *)

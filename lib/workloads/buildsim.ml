@@ -17,12 +17,8 @@ let worker cfg ~use_shim m env =
   if use_shim && Uapi.cloaked u then ignore (Oshim.Shim.install u);
   let buf = Uapi.malloc u cfg.source_bytes in
   let fd = Uapi.openf u (src_path m) [ Abi.O_RDONLY ] in
-  let got = ref 0 in
-  while !got < cfg.source_bytes do
-    let n = Uapi.read u ~fd ~vaddr:(buf + !got) ~len:(cfg.source_bytes - !got) in
-    if n = 0 then Uapi.exit u 2;
-    got := !got + n
-  done;
+  if Uapi.read_exact u ~fd ~vaddr:buf ~len:cfg.source_bytes < cfg.source_bytes then
+    Uapi.exit u 2;
   Uapi.close u fd;
   Uapi.compute u ~cycles:cfg.compile_cycles;
   (* transform in place *)
@@ -30,10 +26,7 @@ let worker cfg ~use_shim m env =
   let objd = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5A)) data in
   Uapi.store u ~vaddr:buf objd;
   let fd = Uapi.openf u (obj_path m) [ Abi.O_CREAT; Abi.O_RDWR; Abi.O_TRUNC ] in
-  let sent = ref 0 in
-  while !sent < cfg.source_bytes do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(buf + !sent) ~len:(cfg.source_bytes - !sent)
-  done;
+  Uapi.write_exact u ~fd ~vaddr:buf ~len:cfg.source_bytes;
   Uapi.close u fd;
   Uapi.exit u 0
 
@@ -63,12 +56,8 @@ let driver cfg ~cloak_workers env =
   let buf = Uapi.malloc u cfg.source_bytes in
   for m = 0 to cfg.modules - 1 do
     let fd = Uapi.openf u (obj_path m) [ Abi.O_RDONLY ] in
-    let got = ref 0 in
-    while !got < cfg.source_bytes do
-      let n = Uapi.read u ~fd ~vaddr:(buf + !got) ~len:(cfg.source_bytes - !got) in
-      if n = 0 then Uapi.exit u 3;
-      got := !got + n
-    done;
+    if Uapi.read_exact u ~fd ~vaddr:buf ~len:cfg.source_bytes < cfg.source_bytes then
+      Uapi.exit u 3;
     Uapi.close u fd;
     let data = Uapi.load u ~vaddr:buf ~len:cfg.source_bytes in
     for i = 0 to cfg.source_bytes - 1 do

@@ -27,25 +27,14 @@ let run cfg ~use_shim env =
     in
     Uapi.store u ~vaddr:buf data;
     let fd = Uapi.openf u (path_of slot) [ Abi.O_CREAT; Abi.O_RDWR; Abi.O_TRUNC ] in
-    let sent = ref 0 in
-    while !sent < cfg.file_bytes do
-      sent := !sent + Uapi.write u ~fd ~vaddr:(buf + !sent) ~len:(cfg.file_bytes - !sent)
-    done;
+    Uapi.write_exact u ~fd ~vaddr:buf ~len:cfg.file_bytes;
     Uapi.close u fd;
     exists.(slot) <- true
   in
   let read_check slot ~pos ~len =
     let fd = Uapi.openf u (path_of slot) [ Abi.O_RDONLY ] in
     ignore (Uapi.lseek u ~fd ~pos ~whence:Abi.Seek_set);
-    let got = ref 0 in
-    while !got < len do
-      let n = Uapi.read u ~fd ~vaddr:(buf + !got) ~len:(len - !got) in
-      if n = 0 then begin
-        incr failures;
-        got := len
-      end
-      else got := !got + n
-    done;
+    if Uapi.read_exact u ~fd ~vaddr:buf ~len < len then incr failures;
     Uapi.close u fd;
     let data = Uapi.load u ~vaddr:buf ~len in
     let ok = ref true in

@@ -10,21 +10,6 @@ let key_of i = Printf.sprintf "key-%d" i
 let value_of cfg ~key_idx ~gen =
   Bytes.init cfg.value_bytes (fun i -> Char.chr (((key_idx * 31) + (gen * 7) + i) land 0xFF))
 
-let read_exact u ~fd ~vaddr ~len =
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < len && not !eof do
-    let n = Uapi.read u ~fd ~vaddr:(vaddr + !got) ~len:(len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
-  not !eof
-
-let write_exact u ~fd ~vaddr ~len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(vaddr + !sent) ~len:(len - !sent)
-  done
-
 let encode_header op key len =
   let b = Bytes.make header_bytes '\000' in
   Bytes.set b 0 op;
@@ -45,7 +30,7 @@ let server cfg ~use_shim ~request_fd ~response_fd env =
   let respbuf = Uapi.malloc u (4 + cfg.value_bytes) in
   let running = ref true in
   while !running do
-    if not (read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:header_bytes) then
+    if Uapi.read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:header_bytes < header_bytes then
       running := false
     else begin
       let header = Uapi.load u ~vaddr:reqbuf ~len:header_bytes in
@@ -54,7 +39,7 @@ let server cfg ~use_shim ~request_fd ~response_fd env =
       let len = decode_len header (1 + key_bytes) in
       match op with
       | 'S' ->
-          if not (read_exact u ~fd:request_fd ~vaddr:(reqbuf + header_bytes) ~len) then
+          if Uapi.read_exact u ~fd:request_fd ~vaddr:(reqbuf + header_bytes) ~len < len then
             running := false
           else begin
             let slot =
@@ -69,7 +54,7 @@ let server cfg ~use_shim ~request_fd ~response_fd env =
             let value = Uapi.load u ~vaddr:(reqbuf + header_bytes) ~len in
             Uapi.store u ~vaddr:(arena + (slot * cfg.value_bytes)) value;
             Uapi.store u ~vaddr:respbuf (Bytes.of_string "0   ");
-            write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4
+            Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4
           end
       | 'G' -> (
           match Hashtbl.find_opt index key with
@@ -80,10 +65,10 @@ let server cfg ~use_shim ~request_fd ~response_fd env =
                 Uapi.load u ~vaddr:(arena + (slot * cfg.value_bytes)) ~len:cfg.value_bytes
               in
               Uapi.store u ~vaddr:(respbuf + 4) value;
-              write_exact u ~fd:response_fd ~vaddr:respbuf ~len:(4 + cfg.value_bytes)
+              Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:(4 + cfg.value_bytes)
           | None ->
               Uapi.store u ~vaddr:respbuf (Bytes.of_string "-1  ");
-              write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4)
+              Uapi.write_exact u ~fd:response_fd ~vaddr:respbuf ~len:4)
       | _ -> running := false
     end
   done;
@@ -97,7 +82,7 @@ let client cfg ~request_fd ~response_fd env =
   let failures = ref 0 in
   let send_header op key len =
     Uapi.store u ~vaddr:reqbuf (encode_header op key len);
-    write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:header_bytes
+    Uapi.write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:header_bytes
   in
   for op = 0 to cfg.operations - 1 do
     let key_idx = op mod cfg.entries in
@@ -106,19 +91,19 @@ let client cfg ~request_fd ~response_fd env =
       gens.(key_idx) <- gens.(key_idx) + 1;
       send_header 'S' (key_of key_idx) cfg.value_bytes;
       Uapi.store u ~vaddr:(reqbuf + header_bytes) (value_of cfg ~key_idx ~gen:gens.(key_idx));
-      write_exact u ~fd:request_fd ~vaddr:(reqbuf + header_bytes) ~len:cfg.value_bytes;
-      if not (read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4) then incr failures
+      Uapi.write_exact u ~fd:request_fd ~vaddr:(reqbuf + header_bytes) ~len:cfg.value_bytes;
+      if Uapi.read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4 < 4 then incr failures
     end
     else begin
       send_header 'G' (key_of key_idx) 0;
-      if not (read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4) then incr failures
+      if Uapi.read_exact u ~fd:response_fd ~vaddr:respbuf ~len:4 < 4 then incr failures
       else begin
         let len = decode_len (Uapi.load u ~vaddr:respbuf ~len:4) 0 in
         if len < 0 then begin
           if gens.(key_idx) > 0 then incr failures
         end
         else begin
-          ignore (read_exact u ~fd:response_fd ~vaddr:(respbuf + 4) ~len);
+          ignore (Uapi.read_exact u ~fd:response_fd ~vaddr:(respbuf + 4) ~len);
           let got = Uapi.load u ~vaddr:(respbuf + 4) ~len in
           if not (Bytes.equal got (value_of cfg ~key_idx ~gen:gens.(key_idx))) then
             incr failures

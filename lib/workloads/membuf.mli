@@ -7,17 +7,11 @@ type t
 val alloc : Uapi.t -> elems:int -> t
 (** An array of [elems] 64-bit slots in the heap. *)
 
-val length : t -> int
 val get : t -> int -> int
 val set : t -> int -> int -> unit
-val base_vaddr : t -> Machine.Addr.vaddr
 
 type bytes_view
 
 val alloc_bytes : Uapi.t -> len:int -> bytes_view
-val byte_length : bytes_view -> int
 val get_byte : bytes_view -> int -> int
 val set_byte : bytes_view -> int -> int -> unit
-val blit_in : bytes_view -> pos:int -> bytes -> unit
-val blit_out : bytes_view -> pos:int -> len:int -> bytes
-val bytes_base : bytes_view -> Machine.Addr.vaddr

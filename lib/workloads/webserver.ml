@@ -30,21 +30,6 @@ let populate u cfg =
 let encode_num n = Bytes.of_string (Printf.sprintf "%-16d" n)
 let decode_num b = int_of_string (String.trim (Bytes.to_string b))
 
-let read_exact u ~fd ~vaddr ~len =
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < len && not !eof do
-    let n = Uapi.read u ~fd ~vaddr:(vaddr + !got) ~len:(len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
-  !got
-
-let write_exact u ~fd ~vaddr ~len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + Uapi.write u ~fd ~vaddr:(vaddr + !sent) ~len:(len - !sent)
-  done
-
 let server cfg ~use_shim ~request_fd ~response_fd env =
   let u = Uapi.of_env env in
   if use_shim && Uapi.cloaked u then ignore (Oshim.Shim.install u);
@@ -53,19 +38,19 @@ let server cfg ~use_shim ~request_fd ~response_fd env =
   let header = Uapi.malloc u 16 in
   let quit = ref false in
   while not !quit do
-    let n = read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes in
+    let n = Uapi.read_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes in
     if n < request_bytes then quit := true
     else begin
       let doc = decode_num (Uapi.load u ~vaddr:reqbuf ~len:request_bytes) in
       if doc < 0 then quit := true
       else begin
         let fd = Uapi.openf u (doc_path (doc mod cfg.documents)) [ Abi.O_RDONLY ] in
-        let len = read_exact u ~fd ~vaddr:body ~len:cfg.doc_bytes in
+        let len = Uapi.read_exact u ~fd ~vaddr:body ~len:cfg.doc_bytes in
         Uapi.close u fd;
         Uapi.compute u ~cycles:cfg.think_cycles;
         Uapi.store u ~vaddr:header (encode_num len);
-        write_exact u ~fd:response_fd ~vaddr:header ~len:16;
-        write_exact u ~fd:response_fd ~vaddr:body ~len
+        Uapi.write_exact u ~fd:response_fd ~vaddr:header ~len:16;
+        Uapi.write_exact u ~fd:response_fd ~vaddr:body ~len
       end
     end
   done;
@@ -80,12 +65,12 @@ let client cfg ~request_fd ~response_fd env =
   for r = 0 to cfg.requests - 1 do
     let doc = r mod cfg.documents in
     Uapi.store u ~vaddr:reqbuf (encode_num doc);
-    write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes;
-    let hn = read_exact u ~fd:response_fd ~vaddr:header ~len:16 in
+    Uapi.write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes;
+    let hn = Uapi.read_exact u ~fd:response_fd ~vaddr:header ~len:16 in
     if hn < 16 then incr failures
     else begin
       let len = decode_num (Uapi.load u ~vaddr:header ~len:16) in
-      let bn = read_exact u ~fd:response_fd ~vaddr:body ~len in
+      let bn = Uapi.read_exact u ~fd:response_fd ~vaddr:body ~len in
       if bn <> len || len <> cfg.doc_bytes then incr failures
       else begin
         (* spot-check the body *)
@@ -98,5 +83,5 @@ let client cfg ~request_fd ~response_fd env =
     end
   done;
   Uapi.store u ~vaddr:reqbuf (encode_num (-1));
-  write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes;
+  Uapi.write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes;
   Uapi.exit u (if !failures = 0 then 0 else 1)

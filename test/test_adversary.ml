@@ -256,6 +256,60 @@ let test_errno_lie_degrades () =
   Alcotest.(check int) "an errno is a legal shape, not a detected lie" 0
     c.Counters.hostile_refusals
 
+(* --- Shim_io's direct syscalls: the same paraverification ---
+
+   A protected file moves ciphertext with the shim's direct dispatcher, so
+   its mmap and write results are checked by the same loop as the shim's
+   own. The liar is armed under [Shim.install] and idles until the victim
+   flips [lying] on; the victim reports the call the shim refused. *)
+let shim_io_victim ~lie body =
+  let vmm = Cloak.Vmm.create () in
+  let k = Kernel.create vmm in
+  let refused = ref None in
+  let pid =
+    Kernel.spawn k ~cloaked:true (fun env ->
+        let u = Uapi.of_env env in
+        let lying = ref false in
+        let direct = env.Abi.dispatch in
+        env.Abi.dispatch <- (fun call -> lie ~lying call (direct call));
+        let shim = Shim.install u in
+        try
+          body shim lying;
+          Uapi.exit u 0
+        with Shim.Hostile_os { call; _ } ->
+          refused := Some call;
+          Uapi.exit u 81)
+  in
+  Kernel.run k;
+  (Kernel.exit_status k ~pid, !refused, Cloak.Vmm.counters vmm)
+
+let test_shim_io_lies_refused () =
+  let overclaim ~lying call v =
+    match call with Abi.Write { len; _ } when !lying -> Abi.Int (len + 1) | _ -> v
+  in
+  let status, refused, c =
+    shim_io_victim ~lie:overclaim (fun shim lying ->
+        let f = Shim_io.create shim ~path:"/vault" ~pages:1 in
+        Shim_io.write shim f ~pos:0 (Bytes.of_string "protected");
+        lying := true;
+        Shim_io.save shim f)
+  in
+  Alcotest.(check (option int)) "save refused" (Some 81) status;
+  Alcotest.(check (option string)) "under write" (Some "write") refused;
+  Alcotest.(check int) "every attempt was caught" (Shim.paraverify_retries + 1)
+    c.Counters.hostile_lies_detected;
+  Alcotest.(check int) "one refusal" 1 c.Counters.hostile_refusals;
+  let null_map ~lying call v =
+    match call with Abi.Mmap _ when !lying -> Abi.Int 0 | _ -> v
+  in
+  let status, refused, _ =
+    shim_io_victim ~lie:null_map (fun shim lying ->
+        lying := true;
+        ignore (Shim_io.create shim ~path:"/vault" ~pages:1))
+  in
+  Alcotest.(check (option int)) "create refused" (Some 81) status;
+  Alcotest.(check (option string)) "under mmap" (Some "mmap") refused
+
 (* --- the sweep cell itself --- *)
 
 let test_sweep_cell_holds () =
@@ -282,5 +336,6 @@ let () =
           quick "dug-in liar is refused" test_dug_in_liar_is_refused;
           quick "errno lies degrade, not corrupt" test_errno_lie_degrades;
         ] );
+      ("shim_io", [ quick "lies on direct I/O are refused" test_shim_io_lies_refused ]);
       ( "sweep", [ quick "one cell: all invariants hold" test_sweep_cell_holds ] );
     ]

@@ -41,7 +41,7 @@ let test_determinism_audit_exact () =
   let seed = 20260806 in
   let a = Harness.Chaos.run_once ~seed in
   let b = Harness.Chaos.run_once ~seed in
-  Alcotest.(check (list string)) "same seed, same audit" a.audit b.audit;
+  Alcotest.(check (list string)) "same seed, same audit" a.obs.audit b.obs.audit;
   Alcotest.(check int) "same seed, same injections" a.injections b.injections;
   Alcotest.(check (list (pair int (option int)))) "same exits" a.exit_statuses
     b.exit_statuses
@@ -50,8 +50,8 @@ let test_different_seeds_differ () =
   let plans_distinct =
     List.exists
       (fun s ->
-        (Harness.Chaos.run_once ~seed:s).audit
-        <> (Harness.Chaos.run_once ~seed:(s + 1)).audit)
+        (Harness.Chaos.run_once ~seed:s).obs.audit
+        <> (Harness.Chaos.run_once ~seed:(s + 1)).obs.audit)
       [ 3; 17 ]
   in
   Alcotest.(check bool) "different seeds explore different behaviour" true
@@ -229,6 +229,41 @@ let test_syscall_path_containment () =
   Alcotest.(check bool) "audit saw the injection" true
     (List.exists (fun line -> contains_sub line "inject") r.audit)
 
+(* --- the one run verdict ---
+
+   Stack.observe must name every OS-visible surface it scans, under the
+   stack's label, and the wire frames it is handed; Stack.failures folds
+   the leaks into a single line. An uncloaked writer puts the canary on
+   disk (and in its page cache); a cloaked holder leaves nothing. *)
+let test_observe_names_surfaces () =
+  let canary = Harness.Chaos.secret in
+  let observe ~cloaked ~wire =
+    let st = Harness.Stack.boot ~salt:0x5CA7 ~seed:1 Kernel.default_config in
+    ignore
+      (Kernel.spawn st.k ~cloaked (fun env ->
+           let u = Uapi.of_env env in
+           if cloaked then
+             Uapi.store u ~vaddr:(Uapi.malloc u 64) (Bytes.of_string canary)
+           else begin
+             let fd = Uapi.openf u "/plain" [ Abi.O_CREAT; Abi.O_RDWR ] in
+             Uapi.write_bytes u ~fd (Bytes.of_string canary);
+             Uapi.close u fd;
+             Uapi.sync u
+           end));
+    let crash = Harness.Stack.run st in
+    Harness.Stack.observe ~canary ~wire ~crash [ ("h", st) ]
+  in
+  let starts_with prefix s = String.starts_with ~prefix s in
+  let o = observe ~cloaked:false ~wire:[ Bytes.of_string ("frame:" ^ canary) ] in
+  Alcotest.(check bool) "a disk block, under the stack's label" true
+    (List.exists (starts_with "h disk block ") o.leaks);
+  Alcotest.(check bool) "the wire frame" true (List.mem "wire frame 0" o.leaks);
+  Alcotest.(check (list bool)) "one leak line" [ true ]
+    (List.map (starts_with "canary leaked to: ") (Harness.Stack.failures o));
+  let o = observe ~cloaked:true ~wire:[] in
+  Alcotest.(check (list string)) "cloaked: no leaks" [] o.leaks;
+  Alcotest.(check (list string)) "cloaked: no failures" [] (Harness.Stack.failures o)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -248,5 +283,10 @@ let () =
           Alcotest.test_case "exhaustion is ENOMEM" `Quick test_exhaustion_is_enomem;
           Alcotest.test_case "syscall-path security fault contained" `Quick
             test_syscall_path_containment;
+        ] );
+      ( "stack",
+        [
+          Alcotest.test_case "observe names every OS-visible surface" `Quick
+            test_observe_names_surfaces;
         ] );
     ]

@@ -197,8 +197,8 @@ let test_check_skips_truncated_ring () =
 
 let test_chaos_run_green () =
   let r = Harness.Chaos.run_once ~seed:3 in
-  Alcotest.(check (list string)) "no trace failures" [] r.Harness.Chaos.trace_failures;
-  Alcotest.(check int) "nothing evicted" 0 r.Harness.Chaos.trace_dropped
+  Alcotest.(check (list string)) "no trace failures" [] r.Harness.Chaos.obs.trace_failures;
+  Alcotest.(check int) "nothing evicted" 0 r.Harness.Chaos.obs.trace_dropped
 
 let contains s sub =
   let n = String.length s and m = String.length sub in

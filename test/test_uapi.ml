@@ -242,6 +242,26 @@ let test_readdir_sorted () =
   in
   check_exit k pid 0
 
+(* --- exact transfers --- *)
+
+(* A read_exact past the end of a file comes up short with what the file
+   held, in place, instead of looping on EOF. *)
+let test_read_exact_stops_at_eof () =
+  let _, k, pid =
+    run (fun env ->
+        let u = Uapi.of_env env in
+        let fd = Uapi.openf u "/ten" [ Abi.O_CREAT; Abi.O_RDWR ] in
+        let buf = Uapi.malloc u 64 in
+        Uapi.store u ~vaddr:buf (Bytes.of_string "0123456789");
+        Uapi.write_exact u ~fd ~vaddr:buf ~len:10;
+        ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
+        Uapi.store u ~vaddr:buf (Bytes.make 64 '.');
+        if Uapi.read_exact u ~fd ~vaddr:buf ~len:64 <> 10 then Uapi.exit u 1;
+        if Bytes.to_string (Uapi.load u ~vaddr:buf ~len:11) <> "0123456789." then
+          Uapi.exit u 2)
+  in
+  check_exit k pid 0
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "uapi"
@@ -273,4 +293,5 @@ let () =
           quick "append mode" test_append_mode;
           quick "readdir sorted" test_readdir_sorted;
         ] );
+      ("uapi", [ quick "read_exact stops at EOF" test_read_exact_stops_at_eof ]);
     ]
