@@ -56,18 +56,55 @@ let session_key vmm ~session =
    The transfer key is cloaked key material living outside any guest
    frame, so the flight recorder's scrub-before-free pass would never see
    it. Model it as a synthetic frame (ids far above any real machine
-   page): held at derivation, scrubbed when zeroized, freed when the
-   endpoint is dropped. An endpoint dropped without scrubbing is exactly
-   the violation the pass reports; the harness drivers therefore
-   [close_*] both ends on COMMIT and ABORT alike. *)
+   page) with one lifecycle for sender and receiver alike: held at
+   derivation, scrubbed when zeroized, freed when the endpoint is
+   dropped. An endpoint dropped without scrubbing is exactly the
+   violation the pass reports; the harness drivers therefore [close_*]
+   both ends on COMMIT and ABORT alike. *)
 
-let key_frame ~session ~side =
-  0x400000 lor (Hashtbl.hash (session ^ "|" ^ side) land 0x3FFFFF)
+type key = {
+  k_vmm : Vmm.t;
+  k_session : string;
+  k_frame : int;
+  k_bytes : bytes;
+  mutable k_scrubbed : bool;
+  mutable k_dropped : bool;
+}
 
-let key_event vmm ~session ~frame kind =
-  let t = Vmm.trace vmm in
+let key_event k kind =
+  let t = Vmm.trace k.k_vmm in
   if Trace.enabled t then
-    Trace.emit t ~ctx:Trace.Vmm ~pid:frame ~site:("mig-key:" ^ session) kind
+    Trace.emit t ~ctx:Trace.Vmm ~pid:k.k_frame ~site:("mig-key:" ^ k.k_session) kind
+
+(* held: derive one endpoint's copy of the session key *)
+let hold_key vmm ~session ~side =
+  let k =
+    {
+      k_vmm = vmm;
+      k_session = session;
+      k_frame = 0x400000 lor (Hashtbl.hash (session ^ "|" ^ side) land 0x3FFFFF);
+      k_bytes = session_key vmm ~session;
+      k_scrubbed = false;
+      k_dropped = false;
+    }
+  in
+  key_event k Trace.Page_zero;
+  k
+
+(* held -> scrubbed: zeroize the copy *)
+let scrub_key k =
+  if not k.k_scrubbed then begin
+    k.k_scrubbed <- true;
+    Bytes.fill k.k_bytes 0 (Bytes.length k.k_bytes) '\000';
+    key_event k Trace.Frame_scrub
+  end
+
+(* -> dropped: the endpoint lets go of the copy *)
+let drop_key k =
+  if not k.k_dropped then begin
+    k.k_dropped <- true;
+    key_event k Trace.Frame_free
+  end
 
 (* --- wire codec --- *)
 
@@ -213,8 +250,7 @@ let charge_check vmm n =
 
 type sender = {
   s_vmm : Vmm.t;
-  s_key : bytes;
-  s_keyframe : int;
+  s_key : key;
   s_session : string;
   s_tid : int;
   s_blob : bytes;
@@ -227,57 +263,39 @@ type sender = {
   mutable s_commit_acked : bool;
   mutable s_abort_acked : bool;
   mutable s_refused : int;  (* reverse frames that failed to decode *)
-  mutable s_key_scrubbed : bool;
-  mutable s_dropped : bool;
 }
 
 let default_chunk_size = 512
 
 let sender vmm ~session ?(chunk_size = default_chunk_size) ?(trace_id = 0) blob =
   if chunk_size <= 0 then invalid_arg "Migrate.sender: chunk_size must be positive";
-  let key = session_key vmm ~session in
-  let keyframe = key_frame ~session ~side:"snd" in
-  key_event vmm ~session ~frame:keyframe Trace.Page_zero;
+  let key = hold_key vmm ~session ~side:"snd" in
   let nchunks = (Bytes.length blob + chunk_size - 1) / chunk_size in
   charge_mac vmm (Bytes.length blob);
   {
     s_vmm = vmm;
     s_key = key;
-    s_keyframe = keyframe;
     s_session = session;
     s_tid = trace_id;
     s_blob = blob;
     s_chunk_size = chunk_size;
     s_nchunks = nchunks;
-    s_digest = Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key blob);
+    s_digest = Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key:key.k_bytes blob);
     s_acked = Array.make nchunks false;
     s_offer_acked = false;
     s_ready = false;
     s_commit_acked = false;
     s_abort_acked = false;
     s_refused = 0;
-    s_key_scrubbed = false;
-    s_dropped = false;
   }
 
-let scrub_sender_key s =
-  if not s.s_key_scrubbed then begin
-    s.s_key_scrubbed <- true;
-    Bytes.fill s.s_key 0 (Bytes.length s.s_key) '\000';
-    key_event s.s_vmm ~session:s.s_session ~frame:s.s_keyframe Trace.Frame_scrub
-  end
-
-let drop_sender s =
-  if not s.s_dropped then begin
-    s.s_dropped <- true;
-    key_event s.s_vmm ~session:s.s_session ~frame:s.s_keyframe Trace.Frame_free
-  end
+let drop_sender s = drop_key s.s_key
 
 let close_sender s =
-  scrub_sender_key s;
+  scrub_key s.s_key;
   drop_sender s
 
-let sender_key_scrubbed s = s.s_key_scrubbed
+let sender_key_scrubbed s = s.s_key.k_scrubbed
 
 let emit vmm ~key ~session ?tid frame =
   let wire = encode ~key ~session ?tid frame in
@@ -285,7 +303,7 @@ let emit vmm ~key ~session ?tid frame =
   wire
 
 let offer_wire s =
-  emit s.s_vmm ~key:s.s_key ~session:s.s_session ~tid:s.s_tid
+  emit s.s_vmm ~key:s.s_key.k_bytes ~session:s.s_session ~tid:s.s_tid
     (Offer
        { nchunks = s.s_nchunks; blob_len = Bytes.length s.s_blob;
          digest = s.s_digest })
@@ -299,7 +317,7 @@ let chunk_wires s =
       let len = min s.s_chunk_size (Bytes.length s.s_blob - off) in
       Vmm.charge_copy s.s_vmm ~bytes_count:len;
       out :=
-        emit s.s_vmm ~key:s.s_key ~session:s.s_session ~tid:s.s_tid
+        emit s.s_vmm ~key:s.s_key.k_bytes ~session:s.s_session ~tid:s.s_tid
           (Chunk { seq; payload = Bytes.sub s.s_blob off len })
         :: !out
     end
@@ -307,14 +325,14 @@ let chunk_wires s =
   !out
 
 let commit_wire s =
-  emit s.s_vmm ~key:s.s_key ~session:s.s_session ~tid:s.s_tid Commit
+  emit s.s_vmm ~key:s.s_key.k_bytes ~session:s.s_session ~tid:s.s_tid Commit
 
 let abort_wire s =
-  emit s.s_vmm ~key:s.s_key ~session:s.s_session ~tid:s.s_tid Abort
+  emit s.s_vmm ~key:s.s_key.k_bytes ~session:s.s_session ~tid:s.s_tid Abort
 
 let absorb_ack s wire =
   charge_check s.s_vmm (Bytes.length wire);
-  match decode ~key:s.s_key ~session:s.s_session wire with
+  match decode ~key:s.s_key.k_bytes ~session:s.s_session wire with
   | Error _ -> s.s_refused <- s.s_refused + 1
   | Ok (Ack seq) ->
       if seq = ack_offer then s.s_offer_acked <- true
@@ -338,8 +356,7 @@ let outstanding s =
 
 type receiver = {
   r_vmm : Vmm.t;
-  r_key : bytes;
-  r_keyframe : int;
+  r_key : key;
   r_session : string;
   mutable r_nchunks : int;  (* -1 until a valid OFFER arrives *)
   mutable r_blob_len : int;
@@ -352,18 +369,12 @@ type receiver = {
   mutable r_rejects : reject list;  (* newest first *)
   mutable r_tid : int;  (* request trace id learned from the first
                            authenticated frame; 0 until then *)
-  mutable r_key_scrubbed : bool;
-  mutable r_dropped : bool;
 }
 
 let receiver vmm ~session =
-  let keyframe = key_frame ~session ~side:"rcv" in
-  let key = session_key vmm ~session in
-  key_event vmm ~session ~frame:keyframe Trace.Page_zero;
   {
     r_vmm = vmm;
-    r_key = key;
-    r_keyframe = keyframe;
+    r_key = hold_key vmm ~session ~side:"rcv";
     r_session = session;
     r_nchunks = -1;
     r_blob_len = 0;
@@ -375,28 +386,15 @@ let receiver vmm ~session =
     r_aborted = false;
     r_rejects = [];
     r_tid = 0;
-    r_key_scrubbed = false;
-    r_dropped = false;
   }
 
-let scrub_receiver_key r =
-  if not r.r_key_scrubbed then begin
-    r.r_key_scrubbed <- true;
-    Bytes.fill r.r_key 0 (Bytes.length r.r_key) '\000';
-    key_event r.r_vmm ~session:r.r_session ~frame:r.r_keyframe Trace.Frame_scrub
-  end
-
-let drop_receiver r =
-  if not r.r_dropped then begin
-    r.r_dropped <- true;
-    key_event r.r_vmm ~session:r.r_session ~frame:r.r_keyframe Trace.Frame_free
-  end
+let drop_receiver r = drop_key r.r_key
 
 let close_receiver r =
-  scrub_receiver_key r;
+  scrub_key r.r_key;
   drop_receiver r
 
-let receiver_key_scrubbed r = r.r_key_scrubbed
+let receiver_key_scrubbed r = r.r_key.k_scrubbed
 
 let rejected r why =
   r.r_rejects <- why :: r.r_rejects;
@@ -414,16 +412,16 @@ let assemble r =
   charge_check r.r_vmm (Bytes.length blob);
   if
     Bytes.length blob <> r.r_blob_len
-    || Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key:r.r_key blob) <> r.r_digest
+    || Oscrypto.Sha256.hex (Oscrypto.Hmac.mac ~key:r.r_key.k_bytes blob) <> r.r_digest
   then rejected r Digest_mismatch
   else begin
     r.r_blob <- Some blob;
-    [ emit r.r_vmm ~key:r.r_key ~session:r.r_session ~tid:r.r_tid Ready ]
+    [ emit r.r_vmm ~key:r.r_key.k_bytes ~session:r.r_session ~tid:r.r_tid Ready ]
   end
 
 let deliver r wire =
   charge_check r.r_vmm (Bytes.length wire);
-  let decoded = decode_full ~key:r.r_key ~session:r.r_session wire in
+  let decoded = decode_full ~key:r.r_key.k_bytes ~session:r.r_session wire in
   (* adopt the request trace id from the first authenticated frame that
      carries one; acks from here on echo it back, so the id round-trips
      end to end without ever leaving the MAC'd header *)
@@ -431,7 +429,7 @@ let deliver r wire =
   | Ok (_, tid) when r.r_tid = 0 && tid <> 0 -> r.r_tid <- tid
   | _ -> ());
   let ack code =
-    emit r.r_vmm ~key:r.r_key ~session:r.r_session ~tid:r.r_tid (Ack code)
+    emit r.r_vmm ~key:r.r_key.k_bytes ~session:r.r_session ~tid:r.r_tid (Ack code)
   in
   match Result.map fst decoded with
   | Error why -> rejected r why

@@ -138,18 +138,17 @@ val refused_acks : sender -> int
 (** {2 Key lifecycle}
 
     The session key is cloaked key material, so it obeys the same
-    scrub-before-free invariant as any plaintext frame. Each endpoint
-    models its key copy as a synthetic frame on its VMM's flight
-    recorder: marked held at derivation, scrubbed by [scrub_*_key]
-    (which zeroizes the bytes), freed by [drop_*]. Dropping an endpoint
-    without scrubbing first is reported by {!Trace.Check.verdict};
-    drivers call [close_*] on COMMIT, ABORT and session teardown alike.
-    Scrub/drop are idempotent and deliberately {e not} automatic on
-    protocol frames: a retransmitted COMMIT or ABORT must still MAC-check
-    against the live key, so only the driver knows when the session is
-    truly over. *)
+    scrub-before-free invariant as any plaintext frame. Both endpoints
+    run one lifecycle, held → scrubbed → dropped, on a synthetic frame
+    of their VMM's flight recorder: held at derivation, scrubbed (the
+    bytes zeroized) and then dropped by [close_*]. [drop_*] alone drops
+    without scrubbing, which {!Trace.Check.verdict} reports; drivers
+    call [close_*] on COMMIT, ABORT and session teardown alike. Both
+    steps are idempotent and deliberately {e not} automatic on protocol
+    frames: a retransmitted COMMIT or ABORT must still MAC-check against
+    the live key, so only the driver knows when the session is truly
+    over. *)
 
-val scrub_sender_key : sender -> unit
 val drop_sender : sender -> unit
 val close_sender : sender -> unit
 val sender_key_scrubbed : sender -> bool
@@ -181,9 +180,8 @@ val committed : receiver -> bool
 val rejects : receiver -> reject list
 (** Every refusal so far, oldest first. *)
 
-val scrub_receiver_key : receiver -> unit
 val drop_receiver : receiver -> unit
 val close_receiver : receiver -> unit
 val receiver_key_scrubbed : receiver -> bool
-(** See {!scrub_sender_key}: the destination's copy of the session key
-    obeys the same scrub-before-free lifecycle. *)
+(** See {!close_sender}: the destination's copy of the session key runs
+    the same lifecycle. *)

@@ -134,6 +134,30 @@ let journal_key t = Oscrypto.Hmac.mac ~key:t.mac_key (Bytes.of_string "journal-k
    journal key so a rebooted same-seed VMM can still authenticate them. *)
 let seal_key t = Oscrypto.Hmac.mac ~key:t.mac_key (Bytes.of_string "seal-key")
 
+(* --- sealed-checkpoint freshness ---
+
+   Parallels the shm generation table: every captured checkpoint bumps the
+   resource's seal generation and anchors it in the journal, so a restore
+   can prove the blob it holds is the latest one ever sealed. *)
+
+let seal_generation t ~tag =
+  Option.value ~default:0 (Hashtbl.find_opt t.seal_gens tag)
+
+(* The one seal-generation move: advance [tag] to [gen] if that is
+   forward, trace the bump so a later restore is provably ordered, and
+   journal it when [anchor] (write-ahead: before any blob of that
+   generation exists). Returns whether the generation moved. *)
+let advance_seal_generation t ~tag ~gen ~anchor =
+  gen > seal_generation t ~tag
+  && begin
+       Hashtbl.replace t.seal_gens tag gen;
+       Trace.emit t.trace ~ctx:Trace.Vmm ~site:tag ~aux:gen Trace.Seal_gen_bump;
+       (match t.journal with
+       | Some j when anchor -> Journal.record j (Seal { tag; gen })
+       | Some _ | None -> ());
+       true
+     end
+
 let attach_journal ?ckpt_every t ~store =
   let j =
     Journal.attach ?engine:t.engine ~trace:t.trace ?ckpt_every
@@ -141,15 +165,9 @@ let attach_journal ?ckpt_every t ~store =
   in
   t.journal <- Some j;
   (* inherit the seal freshness the journal proved durable, so checkpoints
-     sealed before a crash cannot be replayed as fresh after it; the trace
-     records the inherited bump so a later restore is provably ordered *)
+     sealed before a crash cannot be replayed as fresh after it *)
   Hashtbl.iter
-    (fun tag gen ->
-      match Hashtbl.find_opt t.seal_gens tag with
-      | Some cur when cur >= gen -> ()
-      | _ ->
-          Hashtbl.replace t.seal_gens tag gen;
-          Trace.emit t.trace ~ctx:Trace.Vmm ~site:tag ~aux:gen Trace.Seal_gen_bump)
+    (fun tag gen -> ignore (advance_seal_generation t ~tag ~gen ~anchor:false))
     (Journal.state j).Journal.seals;
   j
 
@@ -186,12 +204,6 @@ let journal_dma t phase ppn ~dev ~block =
   match Hashtbl.find_opt t.bound ppn with
   | Some (resource, idx) -> journal_bind t phase ~resource ~idx ~dev ~block
   | None -> ()
-
-let journal_file_intent t ~resource ~idx ~dev ~block =
-  journal_bind t `Intent ~resource ~idx ~dev ~block
-
-let journal_file_commit t ~resource ~idx ~dev ~block =
-  journal_bind t `Commit ~resource ~idx ~dev ~block
 
 let journal_block_freed t ~dev ~block =
   match t.journal with
@@ -426,6 +438,18 @@ let effective t (ctx : Context.t) =
 
 let page_bytes t mpn = Phys_mem.page t.mem mpn
 
+(* The page seal and the page open: the only two CTR call sites. Seal
+   encrypts [plain] under [iv] into frame [mpn] and returns the ciphertext
+   the page MAC covers (hostile RAM may mangle what lands in the frame);
+   open decrypts verified [cipher] into frame [mpn]. *)
+let seal_into t ~iv plain mpn =
+  let cipher = Oscrypto.Aes.ctr_transform t.page_key ~iv plain in
+  Phys_mem.load_page t.mem mpn cipher;
+  cipher
+
+let open_into t ~iv cipher mpn =
+  Phys_mem.load_page t.mem mpn (Oscrypto.Aes.ctr_transform t.page_key ~iv cipher)
+
 let rec encrypt_page ?(reuse = false) t resource idx (e : Metadata.entry) mpn =
   Trace.span_enter t.trace ~ctx:Trace.Vmm ~page:idx ~pid:mpn ~site:(rtag t resource)
     ~aux:e.version Trace.Page_encrypt;
@@ -445,8 +469,7 @@ and encrypt_page_body ~reuse t resource idx (e : Metadata.entry) mpn =
        IV reproduces the exact prior ciphertext, so iv/mac/version stay
        valid and no MAC needs recomputing (the paper's read-only plaintext
        optimization) *)
-    let cipher = Oscrypto.Aes.ctr_transform t.page_key ~iv:e.iv plain in
-    Phys_mem.load_page t.mem mpn cipher;
+    ignore (seal_into t ~iv:e.iv plain mpn);
     e.state <- Encrypted;
     t.counters.clean_reencryptions <- t.counters.clean_reencryptions + 1;
     Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:false
@@ -465,8 +488,7 @@ and encrypt_page_body ~reuse t resource idx (e : Metadata.entry) mpn =
         "fresh encryption of page %d of %s drew its previous IV" idx
         (Resource.tag resource);
     let version = e.version + 1 in
-    let cipher = Oscrypto.Aes.ctr_transform t.page_key ~iv plain in
-    Phys_mem.load_page t.mem mpn cipher;
+    let cipher = seal_into t ~iv plain mpn in
     (* the triple being superseded still authenticates its old ciphertext;
        remember it so a later replay of that ciphertext is named as such *)
     if e.version > 0 then
@@ -485,23 +507,26 @@ and encrypt_page_body ~reuse t resource idx (e : Metadata.entry) mpn =
     Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true
   end
 
-(* The one page-MAC check: does [cipher] authenticate as this version of
-   the page? Pure — callers keep their own counter bumps, charges and
-   trace events. *)
+(* Does [cipher] authenticate as this version of the page? Pure: the
+   recovery-time committed/torn test calls it directly, the VMM's own
+   checks through [check_mac]. *)
 let verify_cipher t ~resource ~idx ~version ~iv ~mac ~cipher =
   Oscrypto.Hmac.verify ~key:t.mac_key ~tag:mac
     (Metadata.mac_input ~resource ~idx ~version ~iv ~cipher)
 
-(* Does [cipher] match the entry's authenticated {iv,mac,version}? Used by
-   checkpoint capture to refuse sealing a frame the (hostile) RAM tore or
+(* The one charged page-MAC check — decrypt-on-touch, checkpoint capture
+   and fork re-keying all pay for it here: does [cipher] match the entry's
+   authenticated {iv,mac,version}? *)
+let check_mac t resource idx (e : Metadata.entry) ~cipher =
+  t.counters.hash_checks <- t.counters.hash_checks + 1;
+  Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
+  verify_cipher t ~resource ~idx ~version:e.version ~iv:e.iv ~mac:e.mac ~cipher
+
+(* Checkpoint capture refuses to seal a frame the (hostile) RAM tore or
    flipped after encryption — the blob may only ever hold bytes the VMM
    has authenticated, never raw frame residue. *)
 let authenticate_cipher t resource idx (e : Metadata.entry) ~cipher =
-  t.counters.hash_checks <- t.counters.hash_checks + 1;
-  Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
-  let ok =
-    verify_cipher t ~resource ~idx ~version:e.version ~iv:e.iv ~mac:e.mac ~cipher
-  in
+  let ok = check_mac t resource idx e ~cipher in
   if ok then
     Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~site:(rtag t resource)
       ~aux:e.version Trace.Mac_check;
@@ -521,10 +546,7 @@ let rec decrypt_page t resource idx (e : Metadata.entry) mpn =
 
 and decrypt_page_body t resource idx (e : Metadata.entry) mpn =
   let cipher = Bytes.copy (page_bytes t mpn) in
-  t.counters.hash_checks <- t.counters.hash_checks + 1;
-  Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
-  if not (verify_cipher t ~resource ~idx ~version:e.version ~iv:e.iv ~mac:e.mac ~cipher)
-  then begin
+  if not (check_mac t resource idx e ~cipher) then begin
     (* distinguish a replayed stale ciphertext (authenticates under the
        *retired* triple) from plain corruption: both are refused, but the
        audit trail names the attack *)
@@ -544,8 +566,7 @@ and decrypt_page_body t resource idx (e : Metadata.entry) mpn =
   end;
   Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~pid:mpn ~site:(rtag t resource)
     ~aux:e.version Trace.Mac_check;
-  let plain = Oscrypto.Aes.ctr_transform t.page_key ~iv:e.iv cipher in
-  Phys_mem.load_page t.mem mpn plain;
+  open_into t ~iv:e.iv cipher mpn;
   e.state <- Plain { home = mpn; clean = t.cfg.clean_reencrypt };
   t.counters.page_decryptions <- t.counters.page_decryptions + 1
 
@@ -592,7 +613,7 @@ let cloak_prepare t ~(view : Context.view) ~(access : Fault.access) ~resource ~i
         violate t ~resource Relocation
           "system view of plaintext page %d of %s at wrong MPN (%d, home %d)"
           idx (Resource.tag resource) mpn home;
-      encrypt_page ~reuse:(clean && t.cfg.clean_reencrypt) t resource idx e mpn;
+      encrypt_page ~reuse:clean t resource idx e mpn;
       true
   | Context.Sys, Encrypted -> true
 
@@ -731,7 +752,7 @@ let phys_view t ppn =
           match e.state with
           | Plain { home; clean } when home = mpn ->
               hidden_fault t;
-              encrypt_page ~reuse:(clean && t.cfg.clean_reencrypt) t resource idx e mpn
+              encrypt_page ~reuse:clean t resource idx e mpn
           | Plain _ | Zero -> Hashtbl.remove t.bound ppn
           | Encrypted -> ())));
   mpn
@@ -787,15 +808,20 @@ let switch_to t ctx =
 
 (* --- resource lifecycle --- *)
 
+(* The one plaintext scrub: zero a page's plaintext home before its
+   record is dropped, so forgetting a page never strands its plaintext in
+   a frame the OS may read or reuse. *)
+let scrub_plaintext t resource idx (e : Metadata.entry) =
+  match e.state with
+  | Plain { home; _ } when Phys_mem.allocated t.mem home ->
+      Bytes.fill (page_bytes t home) 0 Addr.page_size '\000';
+      Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~pid:home ~site:(rtag t resource)
+        Trace.Frame_scrub
+  | Plain _ | Zero | Encrypted -> ()
+
 let uncloak_resource t resource =
   journal_drop_resource t resource;
-  Metadata.iter_resource t.meta resource (fun idx e ->
-      match e.state with
-      | Plain { home; _ } when Phys_mem.allocated t.mem home ->
-          Bytes.fill (page_bytes t home) 0 Addr.page_size '\000';
-          Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~pid:home
-            ~site:(rtag t resource) Trace.Frame_scrub
-      | Plain _ | Zero | Encrypted -> ());
+  Metadata.iter_resource t.meta resource (scrub_plaintext t resource);
   Metadata.drop_resource t.meta resource;
   Hashtbl.iter
     (fun _asid l -> l := List.filter (fun r -> not (Resource.equal r.resource resource)) !l)
@@ -837,12 +863,7 @@ let absolve t resource =
 let drop_cloaked_pages t resource ~base_idx ~pages =
   for idx = base_idx to base_idx + pages - 1 do
     journal_drop_page t resource idx;
-    (match Metadata.find t.meta resource idx with
-    | Some { state = Plain { home; _ }; _ } when Phys_mem.allocated t.mem home ->
-        Bytes.fill (page_bytes t home) 0 Addr.page_size '\000';
-        Trace.emit t.trace ~ctx:Trace.Vmm ~page:idx ~pid:home
-          ~site:(rtag t resource) Trace.Frame_scrub
-    | Some _ | None -> ());
+    Option.iter (scrub_plaintext t resource idx) (Metadata.find t.meta resource idx);
     Metadata.remove t.meta resource idx
   done
 
@@ -851,7 +872,7 @@ let seal_resource t resource =
       match e.state with
       | Plain { home; clean } ->
           hidden_fault t;
-          encrypt_page ~reuse:(clean && t.cfg.clean_reencrypt) t resource idx e home
+          encrypt_page ~reuse:clean t resource idx e home
       | Zero | Encrypted -> ())
 
 (* A dying (or exec-ing) cloaked address space may hold protected-object
@@ -904,18 +925,11 @@ let clone_cloaked t ~src_asid ~dst_asid =
               | Some pte ->
                   let mpn = back_ppn t pte.ppn in
                   let cipher = Bytes.copy (page_bytes t mpn) in
-                  t.counters.hash_checks <- t.counters.hash_checks + 1;
-                  Cost.charge_crypto_page t.cost ~bytes_count:Addr.page_size ~hash:true;
-                  let ok =
-                    verify_cipher t ~resource:src ~idx ~version:e.version ~iv:e.iv
-                      ~mac:e.mac ~cipher
-                  in
-                  if not ok then
+                  if not (check_mac t src idx e ~cipher) then
                     violate t ~resource:src Integrity
                       "fork: copied page %d of %s fails authentication" idx
                       (Resource.tag src);
-                  let plain = Oscrypto.Aes.ctr_transform t.page_key ~iv:e.iv cipher in
-                  Phys_mem.load_page t.mem mpn plain;
+                  open_into t ~iv:e.iv cipher mpn;
                   Hashtbl.replace t.bound pte.ppn (dst, idx);
                   dst_entry.state <- Plain { home = mpn; clean = false };
                   encrypt_page t dst idx dst_entry mpn)))
@@ -1070,39 +1084,18 @@ let restore_generation t ~id ~gen =
   Hashtbl.replace t.generations id gen;
   if id >= t.next_shm then t.next_shm <- id + 1
 
-(* --- sealed-checkpoint freshness ---
-
-   Parallels the shm generation table: every captured checkpoint bumps the
-   resource's seal generation and anchors it in the journal, so a restore
-   can prove the blob it holds is the latest one ever sealed. *)
-
-let seal_generation t ~tag =
-  Option.value ~default:0 (Hashtbl.find_opt t.seal_gens tag)
+(* --- sealed-checkpoint freshness (see [advance_seal_generation]) --- *)
 
 let bump_seal_generation t ~tag =
   let gen = seal_generation t ~tag + 1 in
-  Hashtbl.replace t.seal_gens tag gen;
-  Trace.emit t.trace ~ctx:Trace.Vmm ~site:tag ~aux:gen Trace.Seal_gen_bump;
-  (match t.journal with
-  | Some j -> Journal.record j (Seal { tag; gen })
-  | None -> ());
+  ignore (advance_seal_generation t ~tag ~gen ~anchor:true);
   gen
 
 let restore_seal_generation t ~tag ~gen =
-  if gen > seal_generation t ~tag then begin
-    Hashtbl.replace t.seal_gens tag gen;
-    Trace.emit t.trace ~ctx:Trace.Vmm ~site:tag ~aux:gen Trace.Seal_gen_bump
-  end
+  ignore (advance_seal_generation t ~tag ~gen ~anchor:false)
 
 let retire_seal_generation t ~tag ~gen =
-  let target = gen + 1 in
-  if target > seal_generation t ~tag then begin
-    Hashtbl.replace t.seal_gens tag target;
-    Trace.emit t.trace ~ctx:Trace.Vmm ~site:tag ~aux:target Trace.Seal_gen_bump;
-    (match t.journal with
-    | Some j -> Journal.record j (Seal { tag; gen = target })
-    | None -> ());
+  if advance_seal_generation t ~tag ~gen:(gen + 1) ~anchor:true then
     Inject.Audit.record t.audit "seal retire resource=%s gen=%d" tag gen
-  end
 
 let fold_meta t resource f init = Metadata.fold_resource t.meta resource f init

@@ -212,15 +212,19 @@ val attach_journal : ?ckpt_every:int -> t -> store:Journal.store -> Journal.t
 
 val journal : t -> Journal.t option
 
-val journal_dma : t -> [ `Intent | `Commit ] -> Addr.ppn -> dev:string -> block:int -> unit
-(** Block-device DMA hook: if [ppn] is bound to a journaled cloaked page,
-    record the write intent (before the device write) or commit (after).
-    A no-op for unjournaled, anon, or unbound pages. *)
+val journal_bind :
+  t -> [ `Intent | `Commit ] -> resource:Resource.t -> idx:int -> dev:string ->
+  block:int -> unit
+(** Record that page [idx] of [resource] is about to travel to (intent)
+    or has landed cleanly on (commit) [block] of [dev]. Callers journal
+    the commit only when [Guest.Blockdev.write_block] reports a clean
+    transfer, so a torn, corrupted or held-back payload leaves the intent
+    standing. A no-op for unjournaled or anon resources and for pages the
+    journal does not know. *)
 
-val journal_file_intent : t -> resource:Resource.t -> idx:int -> dev:string -> block:int -> unit
-val journal_file_commit : t -> resource:Resource.t -> idx:int -> dev:string -> block:int -> unit
-(** File-system writeback hooks: same intent/commit protocol when the page
-    reaches the device through the page cache rather than direct DMA. *)
+val journal_dma : t -> [ `Intent | `Commit ] -> Addr.ppn -> dev:string -> block:int -> unit
+(** Block-device DMA hook: {!journal_bind} for the cloaked page [ppn] is
+    bound to, if any. *)
 
 val journal_block_freed : t -> dev:string -> block:int -> unit
 (** The guest released a device block. Journaled {e before} the block is
@@ -240,9 +244,9 @@ val verify_cipher :
   t -> resource:Resource.t -> idx:int -> version:int -> iv:bytes -> mac:bytes ->
   cipher:bytes -> bool
 (** Whether [cipher] authenticates as the given version of the page under
-    this VMM's MAC key — the one page-MAC check: decryption, fork,
-    checkpoint capture and the committed/torn test at recovery time all
-    go through it. Pure: charges nothing. *)
+    this VMM's MAC key — the one page-MAC primitive: the VMM's charged
+    check (decryption, fork, checkpoint capture) and the committed/torn
+    test at recovery time all go through it. Pure: charges nothing. *)
 
 val restore_entry :
   t -> resource:Resource.t -> idx:int -> version:int -> iv:bytes -> mac:bytes -> unit

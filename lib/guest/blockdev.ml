@@ -123,30 +123,36 @@ and write_block_body t b ~ppn =
   let data = Cloak.Vmm.phys_read t.vmm ppn ~off:0 ~len:Addr.page_size in
   (* WAL: the intent record is durable before the payload transfer starts *)
   Cloak.Vmm.journal_dma t.vmm `Intent ppn ~dev:t.name ~block:b;
-  match t.pending_reorder with
-  | Some (b0, d0) ->
-      (* complete a held-back write by swapping payloads: the earlier
-         write's data lands here, ours lands on its block *)
-      t.pending_reorder <- None;
-      Bytes.blit data 0 t.store.(b0) 0 Addr.page_size;
-      Bytes.blit d0 0 t.store.(b) 0 Addr.page_size
-  | None -> (
-      (* only a clean, complete transfer earns a commit record: a torn,
-         corrupted or held-back payload leaves the intent standing, so
-         recovery re-verifies the bytes instead of trusting them *)
-      match action with
-      | Some Inject.Reorder -> t.pending_reorder <- Some (b, data)
-      | Some ((Inject.Torn_write _ | Inject.Bit_flip _) as a) ->
-          let d = Inject.mangle a data in
-          Bytes.blit d 0 t.store.(b) 0 (Bytes.length d)
-      | Some Inject.Crash_point ->
-          (* power cut mid-DMA: half the payload lands, then the lights go
-             out — the canonical torn page recovery must quarantine *)
-          Bytes.blit data 0 t.store.(b) 0 (Addr.page_size / 2);
-          Inject.crashed Inject.Blk_write
-      | Some _ | None ->
-          Bytes.blit data 0 t.store.(b) 0 Addr.page_size;
-          Cloak.Vmm.journal_dma t.vmm `Commit ppn ~dev:t.name ~block:b)
+  let clean =
+    match (t.pending_reorder, action) with
+    | Some (b0, d0), _ ->
+        (* complete a held-back write by swapping payloads: the earlier
+           write's data lands here, ours lands on its block *)
+        t.pending_reorder <- None;
+        Bytes.blit data 0 t.store.(b0) 0 Addr.page_size;
+        Bytes.blit d0 0 t.store.(b) 0 Addr.page_size;
+        false
+    | None, Some Inject.Reorder ->
+        t.pending_reorder <- Some (b, data);
+        false
+    | None, Some ((Inject.Torn_write _ | Inject.Bit_flip _) as a) ->
+        let d = Inject.mangle a data in
+        Bytes.blit d 0 t.store.(b) 0 (Bytes.length d);
+        false
+    | None, Some Inject.Crash_point ->
+        (* power cut mid-DMA: half the payload lands, then the lights go
+           out — the canonical torn page recovery must quarantine *)
+        Bytes.blit data 0 t.store.(b) 0 (Addr.page_size / 2);
+        Inject.crashed Inject.Blk_write
+    | None, (Some _ | None) ->
+        Bytes.blit data 0 t.store.(b) 0 Addr.page_size;
+        true
+  in
+  (* only a clean, complete transfer earns a commit record: a torn,
+     corrupted or held-back payload leaves the intent standing, so
+     recovery re-verifies the bytes instead of trusting them *)
+  if clean then Cloak.Vmm.journal_dma t.vmm `Commit ppn ~dev:t.name ~block:b;
+  clean
 
 let rec write_raw t b data =
   Trace.with_span (Cloak.Vmm.trace t.vmm) ~page:b ~site:t.name Trace.Disk_write

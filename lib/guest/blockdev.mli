@@ -48,12 +48,15 @@ val read_block : t -> int -> ppn:Machine.Addr.ppn -> unit
 (** DMA one block into a guest physical page. May raise {!Io_error}, or DMA
     only a prefix under a short-read injection. *)
 
-val write_block : t -> int -> ppn:Machine.Addr.ppn -> unit
-(** DMA one guest physical page to a block. Journals the write intent
-    before the transfer and the commit after a clean one; torn, corrupted,
-    reordered or crash-interrupted transfers leave the intent standing so
-    recovery re-verifies the bytes. May raise {!Io_error}; a [Crash_point]
-    injection lands half the payload and raises {!Inject.Vmm_crash}. *)
+val write_block : t -> int -> ppn:Machine.Addr.ppn -> bool
+(** DMA one guest physical page to a block and return whether the
+    transfer landed clean — the one place that decides it. Journals the
+    write intent of a DMA-bound cloaked page before the transfer and its
+    commit only after a clean one; torn, corrupted or reordered transfers
+    return [false] and leave the intent standing so recovery re-verifies
+    the bytes (file writeback commits a protected object's page on the
+    same answer). May raise {!Io_error}; a [Crash_point] injection lands
+    half the payload and raises {!Inject.Vmm_crash}. *)
 
 val write_raw : t -> int -> bytes -> unit
 (** Host-side write of one full block, bypassing the guest physmap — the

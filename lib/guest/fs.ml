@@ -325,20 +325,21 @@ let writeback_entry t (id, idx) entry =
           Hashtbl.add ino.blocks idx block;
           block
     in
-    match Hashtbl.find_opt t.bound id with
-    | Some resource ->
-        (* the content image of a protected object: file page idx = object
-           page idx (the image starts at offset 0), and the write travels
-           under the journal's intent/commit protocol so a crash mid-DMA is
-           detected as torn instead of silently served *)
-        let dev = Blockdev.name t.dev in
-        Cloak.Vmm.journal_file_intent t.vmm ~resource ~idx ~dev ~block;
-        Retry.disk t.vmm (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
-        Cloak.Vmm.journal_file_commit t.vmm ~resource ~idx ~dev ~block;
-        entry.dirty <- false
-    | None ->
-        Retry.disk t.vmm (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn);
-        entry.dirty <- false
+    (* the content image of a protected object: file page idx = object
+       page idx (the image starts at offset 0), and the write travels under
+       the journal's intent/commit protocol — the commit only if the device
+       reports a clean transfer — so a torn page is detected, never served *)
+    let bind phase =
+      match Hashtbl.find_opt t.bound id with
+      | Some resource ->
+          Cloak.Vmm.journal_bind t.vmm phase ~resource ~idx ~dev:(Blockdev.name t.dev)
+            ~block
+      | None -> ()
+    in
+    bind `Intent;
+    if Retry.disk t.vmm (fun () -> Blockdev.write_block t.dev block ~ppn:entry.ppn) then
+      bind `Commit;
+    entry.dirty <- false
   end
 
 let sync t = Hashtbl.iter (writeback_entry t) t.cache

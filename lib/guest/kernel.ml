@@ -32,11 +32,9 @@ let default_config =
 type restart_policy = {
   restart_budget : int;  (* restarts granted before the circuit breaks *)
   backoff_cycles : int;  (* base restart delay in cycles; doubles per attempt *)
-  ckpt_every : int;  (* completed syscalls between automatic checkpoints;
-                        0 = only explicit Checkpoint hypercalls *)
 }
 
-let default_policy = { restart_budget = 5; backoff_cycles = 50_000; ckpt_every = 0 }
+let default_policy = { restart_budget = 5; backoff_cycles = 50_000 }
 
 exception Deadlock of string
 
@@ -114,11 +112,9 @@ type supervision = {
   mutable checkpoint : bytes option;  (* latest sealed checkpoint blob *)
   mutable prev_checkpoint : bytes option;
   mutable checkpoints : int;
-  mutable syscalls_since : int;  (* completed syscalls since last capture *)
   mutable recovery_cycles : int;  (* cycles spent inside respawns (MTTR) *)
   mutable respawning : bool;  (* a respawn is on the stack: nested retries
                                  must not double-count recovery cycles *)
-  mutable kill_statuses : int list;  (* fatal exits observed, newest first *)
   mutable migration : (bytes -> migration_decision) option;
       (* one-shot drain handler armed by request_migration; fires at the
          next quiesce point (sys_checkpoint) with the fresh sealed blob *)
@@ -193,7 +189,7 @@ and evict_one t =
    so a cloaked plaintext page is encrypted before it ever reaches swap. *)
 and swap_out t proc vpn (pte : Page_table.pte) =
   let block = Blockdev.alloc_block t.swap in
-  Retry.disk t.vmm (fun () -> Blockdev.write_block t.swap block ~ppn:pte.ppn);
+  ignore (Retry.disk t.vmm (fun () -> Blockdev.write_block t.swap block ~ppn:pte.ppn));
   Page_table.unmap proc.pt vpn;
   Cloak.Vmm.invlpg t.vmm ~asid:(Page_table.asid proc.pt) ~vpn;
   release_guest_page t pte.ppn;
@@ -405,10 +401,8 @@ let supervision ~policy ~prog ~checkpoint =
     checkpoint;
     prev_checkpoint = None;
     checkpoints = 0;
-    syscalls_since = 0;
     recovery_cycles = 0;
     respawning = false;
-    kill_statuses = [];
     migration = None;
     migrations_attempted = 0;
     migrations_completed = 0;
@@ -642,7 +636,6 @@ and do_exit t proc status =
     | Some sup
       when proc.state = Dead
            && (status = -2 || status = -3 || status = 137) ->
-        sup.kill_statuses <- status :: sup.kill_statuses;
         if not sup.broken then respawn t proc.pid sup status
     | Some _ | None -> ()
   end
@@ -1031,7 +1024,6 @@ let capture_checkpoint t proc sup =
   sup.prev_checkpoint <- sup.checkpoint;
   sup.checkpoint <- Some blob;
   sup.checkpoints <- sup.checkpoints + 1;
-  sup.syscalls_since <- 0;
   Cloak.Vmm.seal_generation t.vmm ~tag:(Cloak.Resource.tag resource)
 
 let migrated_exit_status = -4
@@ -1068,21 +1060,6 @@ let sys_checkpoint t proc =
                  scrubs and stays fenced. *)
               sup.migrations_completed <- sup.migrations_completed + 1;
               Terminate migrated_exit_status))
-
-(* Auto-cadence: count completed syscalls and capture at the policy's
-   interval. Runs inside handle_syscall's containment boundary, so a
-   security fault raised mid-capture is contained like any other and the
-   supervisor respawns from the last good checkpoint. *)
-let maybe_auto_checkpoint t proc =
-  match Hashtbl.find_opt t.supervised proc.pid with
-  | Some sup when sup.policy.ckpt_every > 0 ->
-      sup.syscalls_since <- sup.syscalls_since + 1;
-      if sup.syscalls_since >= sup.policy.ckpt_every then (
-        try ignore (capture_checkpoint t proc sup)
-        with Errno.Error _ ->
-          Inject.Audit.record (Cloak.Vmm.audit t.vmm)
-            "checkpoint skipped pid=%d" proc.pid)
-  | Some _ | None -> ()
 
 (* --- live migration (see Harness.Migrate for the driver) --- *)
 
@@ -1398,14 +1375,7 @@ and handle_syscall_body t proc call cont =
      unwind the run loop. Security faults reach the pid-kill containment
      point; machine-level failures become errors or contained kills. *)
   let outcome =
-    try
-      let o = exec_call t proc call in
-      (match (o, call) with
-      | Done _, Abi.Checkpoint -> ()  (* an explicit capture resets cadence *)
-      | Done _, _ -> maybe_auto_checkpoint t proc
-      | _, _ -> ());
-      o
-    with
+    try exec_call t proc call with
     | User_segv _ -> Terminate 139
     | Errno.Error e -> Done (Abi.Err e)
     | Phys_mem.Out_of_memory ->
@@ -1517,7 +1487,6 @@ type supervision_stats = {
   sup_broken : bool;
   sup_checkpoints : int;
   sup_recovery_cycles : int;
-  sup_kill_statuses : int list;  (* oldest first *)
   sup_last_checkpoint : bytes option;
   sup_prev_checkpoint : bytes option;
   sup_migrations_attempted : int;
@@ -1536,7 +1505,6 @@ let supervision_stats t ~pid =
           sup_broken = s.broken;
           sup_checkpoints = s.checkpoints;
           sup_recovery_cycles = s.recovery_cycles;
-          sup_kill_statuses = List.rev s.kill_statuses;
           sup_last_checkpoint = s.checkpoint;
           sup_prev_checkpoint = s.prev_checkpoint;
           sup_migrations_attempted = s.migrations_attempted;

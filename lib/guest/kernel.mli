@@ -34,13 +34,12 @@ type restart_policy = {
   backoff_cycles : int;
       (** base restart delay in model cycles; doubles on every successive
           restart of the same process *)
-  ckpt_every : int;
-      (** completed syscalls between automatic sealed checkpoints;
-          0 means only explicit {!Abi.Checkpoint} hypercalls capture *)
 }
+(** Sealed checkpoints are captured only at explicit {!Abi.Checkpoint}
+    hypercalls, the process's own quiesce points. *)
 
 val default_policy : restart_policy
-(** [{ restart_budget = 5; backoff_cycles = 50_000; ckpt_every = 0 }] *)
+(** [{ restart_budget = 5; backoff_cycles = 50_000 }] *)
 
 type t
 
@@ -119,7 +118,6 @@ type supervision_stats = {
   sup_recovery_cycles : int;
       (** total model cycles spent inside respawns (backoff + restore);
           divide by [sup_restarts] for mean time to recovery *)
-  sup_kill_statuses : int list;  (** fatal exits observed, oldest first *)
   sup_last_checkpoint : bytes option;  (** latest sealed checkpoint blob *)
   sup_prev_checkpoint : bytes option;
       (** the one before it — retained so harnesses can prove that rolling

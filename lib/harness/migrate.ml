@@ -7,58 +7,13 @@ open Guest
 
 (* --- the workload ---
 
-   A restart-aware cloaked service in the soak idiom (state page mmapped
-   first, counter + canary, one OS-visible progress byte per unit, sealed
-   checkpoint after every unit). The checkpoint hypercall doubles as the
-   quiesce point where the drain handler fires; a migrated incarnation
-   reads the counter back from the restored cloaked page and resumes at
-   the destination from where the source stopped. *)
+   The soak's restart-aware service ({!Soak.service}) without the vault
+   file: its checkpoint hypercall doubles as the quiesce point where the
+   drain handler fires, and a migrated incarnation resumes at the
+   destination from where the source stopped. *)
 
 let rounds = 16
-let unit_cycles = 20_000
-let counter_off = 0
-let canary_off = 64
-
-let service (env : Abi.env) =
-  let u = Uapi.of_env env in
-  let restored = Uapi.restored u in
-  let state_vpn =
-    if restored then Kernel.mmap_base_vpn
-    else Uapi.mmap u ~pages:1 ~cloaked:true ()
-  in
-  let sh = Oshim.Shim.install u in
-  let base = Addr.vaddr_of_vpn state_vpn in
-  let read_counter () =
-    Int32.to_int (Bytes.get_int32_le (Uapi.load u ~vaddr:(base + counter_off) ~len:4) 0)
-  in
-  let write_counter n =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int n);
-    Uapi.store u ~vaddr:(base + counter_off) b
-  in
-  if not restored then begin
-    write_counter 0;
-    Uapi.store u ~vaddr:(base + canary_off) (Bytes.of_string Soak.canary)
-  end;
-  let scratch = Uapi.malloc u 64 in
-  let marker = Uapi.malloc u 8 in
-  let start = read_counter () in
-  for unit = start to rounds - 1 do
-    Uapi.compute u ~cycles:unit_cycles;
-    Uapi.store u ~vaddr:scratch
-      (Bytes.of_string (Printf.sprintf "%s:%04d" Soak.canary unit));
-    write_counter (unit + 1);
-    (try
-       let fd = Uapi.openf u "/progress" [ Abi.O_CREAT; Abi.O_RDWR ] in
-       ignore (Uapi.lseek u ~fd ~pos:unit ~whence:Abi.Seek_set);
-       Uapi.store_byte u ~vaddr:marker (unit land 0xff);
-       ignore (Uapi.write u ~fd ~vaddr:marker ~len:1);
-       Uapi.close u fd
-     with Errno.Error _ -> ());
-    (* quiesce point: checkpoint — and, when armed, the drain hook *)
-    (try ignore (Oshim.Shim.checkpoint sh) with Errno.Error _ -> ())
-  done;
-  Uapi.exit u 0
+let service = Soak.service ~rounds ~unit_cycles:20_000 ~vault:false
 
 (* Uncloaked noise on whichever side it runs: disk traffic and memory
    pressure so migration happens under load, not in a quiet lab. *)
@@ -169,11 +124,6 @@ type run = {
   st : scenario;  (* kept for crash-matrix post-mortems *)
 }
 
-let units_of k =
-  match Fs.lookup (Kernel.fs k) "/progress" with
-  | Ok ino -> Fs.size (Kernel.fs k) ino
-  | Error _ -> 0
-
 let run_once ~plan ~seed =
   let engine = Inject.create plan in
   (* both VMMs share the fleet master secret: same seed *)
@@ -255,8 +205,8 @@ let run_once ~plan ~seed =
     attempts = st.attempts;
     breaker = st.breaker;
     downtime = st.downtime;
-    src_units = units_of src.k;
-    dst_units = units_of dst.k;
+    src_units = Soak.units src.k;
+    dst_units = Soak.units dst.k;
     src_status = Kernel.exit_status src.k ~pid;
     dst_status = Kernel.exit_status dst.k ~pid;
     wire_frames = List.length wire;

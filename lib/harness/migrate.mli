@@ -28,8 +28,9 @@ val rounds : int
 (** Units of work the service completes (source + destination combined). *)
 
 val service : Guest.Abi.program
-(** The restart-aware migratable workload (soak idiom: cloaked state
-    page, canary, progress file, checkpoint per unit). *)
+(** The restart-aware migratable workload: {!Soak.service} for {!rounds}
+    units without the vault file (cloaked state page, canary, progress
+    file, checkpoint per unit). *)
 
 val antagonist : Guest.Abi.program
 (** Uncloaked noise run beside the service on both machines. *)

@@ -12,22 +12,25 @@ let canary = "SOAK-CANARY-SEALED-STATE-SECRET!"
    A restart-aware cloaked service performs [rounds] units of work. Its
    durable state is one cloaked page mmapped FIRST (so it always lands at
    [Kernel.mmap_base_vpn]) holding a unit counter and the canary; each
-   unit burns compute, moves canary-derived plaintext through cloaked
-   memory and a protected file, advances the counter, drops one byte into
-   an OS-visible progress file at offset [unit] (file size = furthest unit
-   completed — restarts redo work but never double-count), and requests a
-   sealed checkpoint. A restored incarnation reads the counter back from
-   the restored cloaked page and resumes from there.
+   unit burns [unit_cycles] of compute, moves canary-derived plaintext
+   through cloaked memory (and, with [vault], a protected file), advances
+   the counter, drops one byte into an OS-visible progress file at offset
+   [unit] (file size = furthest unit completed — restarts redo work but
+   never double-count), and requests a sealed checkpoint. A restored or
+   migrated incarnation reads the counter back from the restored cloaked
+   page and resumes from there.
 
-   The same closure runs unsupervised for the baseline: Checkpoint then
-   fails EINVAL, which the service tolerates, and any fatal kill is final. *)
+   The checkpoint hypercall is the quiesce point where an armed migration
+   drain fires. The same closure runs unsupervised for the soak baseline:
+   Checkpoint then fails EINVAL, which the service tolerates, and any
+   fatal kill is final. *)
 
 let rounds = 24
 let unit_cycles = 30_000
 let counter_off = 0
 let canary_off = 64
 
-let service (env : Abi.env) =
+let service ~rounds ~unit_cycles ~vault (env : Abi.env) =
   let u = Uapi.of_env env in
   let restored = Uapi.restored u in
   let state_vpn =
@@ -54,25 +57,26 @@ let service (env : Abi.env) =
   (* The protected file persists across rounds (per incarnation, so a
      quarantined vault cannot kill-loop every respawn): re-opening and
      re-saving it re-encrypts long-lived pages every round, which keeps
-     sustained IV/DMA fault rules lethal in BOTH modes — a fresh file per
-     round would reset page versions and exempt the unsupervised baseline
-     from IV-reuse violations entirely. *)
-  let vault = Printf.sprintf "/vault%d" (Uapi.incarnation u) in
+     sustained IV/DMA fault rules lethal in BOTH soak modes — a fresh file
+     per round would reset page versions and exempt the unsupervised
+     baseline from IV-reuse violations entirely. *)
+  let vault_path = Printf.sprintf "/vault%d" (Uapi.incarnation u) in
   for unit = start to rounds - 1 do
     Uapi.compute u ~cycles:unit_cycles;
     let tag = Printf.sprintf "%s:%04d" canary unit in
     Uapi.store u ~vaddr:scratch (Bytes.of_string tag);
     (* app-level I/O errors (an exhausted device retry) must not kill the
        service *)
-    (try
-       let f =
-         try Oshim.Shim_io.open_existing sh ~path:vault
-         with Errno.Error _ -> Oshim.Shim_io.create sh ~path:vault ~pages:1
-       in
-       Oshim.Shim_io.write sh f ~pos:0 (Bytes.of_string tag);
-       Oshim.Shim_io.save sh f;
-       Oshim.Shim_io.close sh f
-     with Errno.Error _ | Invalid_argument _ -> ());
+    if vault then (
+      try
+        let f =
+          try Oshim.Shim_io.open_existing sh ~path:vault_path
+          with Errno.Error _ -> Oshim.Shim_io.create sh ~path:vault_path ~pages:1
+        in
+        Oshim.Shim_io.write sh f ~pos:0 (Bytes.of_string tag);
+        Oshim.Shim_io.save sh f;
+        Oshim.Shim_io.close sh f
+      with Errno.Error _ | Invalid_argument _ -> ());
     write_counter (unit + 1);
     (try
        let fd = Uapi.openf u "/progress" [ Abi.O_CREAT; Abi.O_RDWR ] in
@@ -86,6 +90,12 @@ let service (env : Abi.env) =
     (try ignore (Oshim.Shim.checkpoint sh) with Errno.Error _ -> ())
   done;
   Uapi.exit u 0
+
+(* Units of work a kernel's service completed: the progress file's size. *)
+let units k =
+  match Fs.lookup (Kernel.fs k) "/progress" with
+  | Ok ino -> Fs.size (Kernel.fs k) ino
+  | Error _ -> 0
 
 (* Uncloaked noise: memory pressure so the service's cloaked pages cycle
    through swap, and disk traffic so block-device faults have targets. *)
@@ -123,7 +133,7 @@ let kconfig =
   }
 
 let policy =
-  { Kernel.restart_budget = 8; backoff_cycles = 20_000; ckpt_every = 0 }
+  { Kernel.restart_budget = 8; backoff_cycles = 20_000 }
 
 (* --- fault plans ---
 
@@ -186,17 +196,14 @@ let run_once ~plan ~seed ~supervised =
   let ({ Stack.vmm; k; _ } as st) =
     Stack.boot ~engine:(Inject.create plan) ~salt:0xC4A05 ~seed kconfig
   in
+  let service = service ~rounds ~unit_cycles ~vault:true in
   let service_pid =
     if supervised then Kernel.spawn_supervised k ~policy service
     else Kernel.spawn k ~cloaked:true service
   in
   ignore (Kernel.spawn k antagonist);
   let crash = Stack.run st in
-  let units =
-    match Fs.lookup (Kernel.fs k) "/progress" with
-    | Ok ino -> Fs.size (Kernel.fs k) ino
-    | Error _ -> 0
-  in
+  let units = units k in
   let stats = Kernel.supervision_stats k ~pid:service_pid in
   let counters = Cloak.Vmm.counters vmm in
   {

@@ -26,7 +26,20 @@
 val canary : string
 
 val rounds : int
-(** Units of work a fault-free service completes. *)
+(** Units of work a fault-free soak service completes. *)
+
+val service : rounds:int -> unit_cycles:int -> vault:bool -> Guest.Abi.program
+(** The restart-aware cloaked service, shared with the migration and
+    fleet harnesses: a cloaked state page mmapped first (unit counter and
+    {!canary}), then per unit [unit_cycles] of compute, canary-derived
+    plaintext through cloaked memory, with [vault] a re-saved protected
+    file per incarnation, one byte into the OS-visible [/progress] file,
+    and a sealed checkpoint — the quiesce point a migration drains at. A
+    restored or adopted incarnation resumes from the restored counter. *)
+
+val units : Guest.Kernel.t -> int
+(** Units the service completed on this kernel: the size of [/progress]
+    (restarts redo work but never double-count). *)
 
 val kconfig : Guest.Kernel.config
 (** Tight guest memory plus a metadata journal (seal generations must be

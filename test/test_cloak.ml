@@ -199,6 +199,42 @@ let test_uncloak_resource_scrubs () =
   Alcotest.(check bool) "scrubbed" true (Bytes.for_all (fun c -> c = '\000') raw);
   Alcotest.(check bool) "range gone" true (Vmm.resource_at vmm ~asid:1 ~vpn:0 = None)
 
+(* --- fork re-keying: the kernel copies a parent's cloaked page through
+   its Sys view into the child's frame, and [clone_cloaked] must verify the
+   copy against the parent's metadata before re-keying it to the child --- *)
+
+let fork_setup ~flip =
+  let vmm, _ = cloaked_setup () in
+  let child = Page_table.create ~asid:2 in
+  Vmm.register_address_space vmm child;
+  Page_table.map child 0 200 ~writable:true ~user:true;
+  Vmm.cloak_range vmm ~asid:2 ~resource:(Resource.Anon 2) ~start_vpn:0 ~pages:1
+    ~base_idx:0;
+  Vmm.write vmm ~ctx:app ~vaddr:0 (Bytes.of_string secret);
+  let copy = Vmm.phys_read vmm 100 ~off:0 ~len:Addr.page_size in
+  if flip then Bytes.set copy 7 (Char.chr (Char.code (Bytes.get copy 7) lxor 0x01));
+  Vmm.phys_write vmm 200 ~off:0 copy;
+  (vmm, copy)
+
+let test_fork_refuses_tampered_copy () =
+  let vmm, _ = fork_setup ~flip:true in
+  match Vmm.clone_cloaked vmm ~src_asid:1 ~dst_asid:2 with
+  | () -> Alcotest.fail "a copy with a flipped bit was re-keyed"
+  | exception Violation.Security_fault v ->
+      Alcotest.(check bool) "integrity violation" true (v.Violation.kind = Violation.Integrity);
+      Alcotest.(check bool) "names the fork copy" true
+        (String.starts_with ~prefix:"fork: copied page 0 of anon:1 fails authentication"
+           v.Violation.detail)
+
+let test_fork_rekeys_intact_copy () =
+  let vmm, copy = fork_setup ~flip:false in
+  Vmm.clone_cloaked vmm ~src_asid:1 ~dst_asid:2;
+  Alcotest.(check bool) "child frame re-keyed away from the parent's ciphertext" false
+    (Bytes.equal copy (Vmm.phys_read vmm 200 ~off:0 ~len:Addr.page_size));
+  Alcotest.(check string) "child reads the parent's plaintext" secret
+    (Bytes.to_string
+       (Vmm.read vmm ~ctx:(Context.app 2) ~vaddr:0 ~len:(String.length secret)))
+
 let test_cloak_range_overlap_rejected () =
   let vmm, _ = cloaked_setup () in
   Alcotest.check_raises "overlap"
@@ -573,6 +609,8 @@ let () =
           quick "drop scrubs" test_drop_cloaked_pages_scrubs;
           quick "uncloak scrubs" test_uncloak_resource_scrubs;
           quick "overlap rejected" test_cloak_range_overlap_rejected;
+          quick "fork refuses a tampered copy" test_fork_refuses_tampered_copy;
+          quick "fork re-keys an intact copy" test_fork_rekeys_intact_copy;
           QCheck_alcotest.to_alcotest prop_state_machine;
         ] );
       ( "shadows",

@@ -179,7 +179,8 @@ let test_blockdev_dma_roundtrip () =
   let b = Blockdev.alloc_block dev in
   let data = Bytes.init Addr.page_size (fun i -> Char.chr (i land 0xFF)) in
   Cloak.Vmm.phys_write vmm 0 ~off:0 data;
-  Blockdev.write_block dev b ~ppn:0;
+  Alcotest.(check bool) "a fault-free transfer lands clean" true
+    (Blockdev.write_block dev b ~ppn:0);
   Cloak.Vmm.phys_write vmm 1 ~off:0 (Bytes.make Addr.page_size '\000');
   Blockdev.read_block dev b ~ppn:1;
   Alcotest.(check bool) "roundtrip" true

@@ -251,6 +251,56 @@ let test_recovery_of_clean_run () =
     (o.Harness.Crash.committed >= o.Harness.Crash.ledger_committed
     && o.Harness.Crash.ledger_committed > 0)
 
+(* --- the commit rule: only a clean transfer earns a Commit ---
+
+   A journaled kernel runs a cloaked process that saves a 2-page protected
+   file and syncs it, so the file's writeback carries both pages to the
+   disk under the journal's intent/commit protocol. When the device
+   mangles or holds back every data write, both pages must stay intents:
+   the log may never record a transfer that did not land. *)
+
+let commit_rule_run action =
+  let rules =
+    match action with
+    | None -> []
+    | Some action -> [ { Inject.site = Inject.Blk_write; trigger = Inject.always; action } ]
+  in
+  let vmm = Cloak.Vmm.create ~engine:(Inject.create (Inject.plan ~seed:1 rules)) () in
+  let k = Kernel.create ~config:{ Kernel.default_config with journal_blocks = 16 } vmm in
+  let saver env =
+    let u = Uapi.of_env env in
+    let sh = Oshim.Shim.install u in
+    let f = Oshim.Shim_io.create sh ~path:"/vault" ~pages:2 in
+    Oshim.Shim_io.write sh f ~pos:0 (Bytes.make (2 * Addr.page_size) 'v');
+    Oshim.Shim_io.save sh f;
+    Uapi.sync u;
+    Uapi.exit u 0
+  in
+  let pid = Kernel.spawn k ~cloaked:true saver in
+  Kernel.run k;
+  Alcotest.(check (option int)) "saver exited cleanly" (Some 0) (Kernel.exit_status k ~pid);
+  let st =
+    match Cloak.Vmm.journal vmm with
+    | Some j -> Cloak.Journal.state j
+    | None -> Alcotest.fail "kernel booted without a journal"
+  in
+  let pages = Hashtbl.fold (fun key _ acc -> key :: acc) st.pages [] in
+  Alcotest.(check int) "both file pages journaled" 2 (List.length pages);
+  let count tbl = List.length (List.filter (Hashtbl.mem tbl) pages) in
+  (count st.inflight, count st.binds)
+
+let test_commit_rule () =
+  Alcotest.(check (pair int int)) "clean transfers: both committed, no intent" (0, 2)
+    (commit_rule_run None);
+  List.iter
+    (fun (name, action) ->
+      Alcotest.(check (pair int int))
+        (name ^ ": both pages stay intents, no commit")
+        (2, 0)
+        (commit_rule_run (Some action)))
+    [ ("bit flip", Inject.Bit_flip 100); ("torn write", Inject.Torn_write 2048);
+      ("reorder", Inject.Reorder) ]
+
 (* --- satellite: typed block-device errors --- *)
 
 let mk_dev ?(reserve = 0) blocks =
@@ -380,6 +430,10 @@ let () =
           Alcotest.test_case "clean run recovers everything" `Quick
             test_recovery_of_clean_run;
           Alcotest.test_case "sampler edge cases" `Quick test_sampler;
+        ] );
+      ( "commit-rule",
+        [
+          Alcotest.test_case "only a clean transfer commits" `Quick test_commit_rule;
         ] );
       ( "blockdev-errors",
         [
