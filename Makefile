@@ -61,11 +61,13 @@ telemetry: build
 
 # Flight-recorder overhead proof: run cloaked workloads under the null
 # sink and under a live ring and assert both add zero model cycles over
-# an untraced baseline; emits BENCH_trace_overhead.json. Also prints the
-# per-span-class latency decomposition for one workload as a smoke test.
+# an untraced baseline; emits BENCH_trace_overhead.json. Then traces the
+# cloaked fileio run (model cycles, event counts, the per-span-class
+# latency table and the invariant verdict) into BENCH_trace_fileio.txt,
+# which `make bench-check` diffs like every BENCH file.
 trace: build
 	$(DUNE) exec bin/overshadow_cli.exe -- trace-overhead --out BENCH_trace_overhead.json
-	$(DUNE) exec bin/overshadow_cli.exe -- trace fileio --cloaked
+	$(DUNE) exec bin/overshadow_cli.exe -- trace fileio --cloaked > BENCH_trace_fileio.txt
 
 # Profiler smoke: exact cycle attribution for the cloaked fileio run,
 # with the collapsed-stack (flamegraph.pl input) export.

@@ -97,23 +97,14 @@ let replay ~vmm ~store ~read_block =
               ~version:p.Journal.version ~iv:p.Journal.iv ~mac:p.Journal.mac
         | None -> ())
     pages;
-  let generations =
-    Hashtbl.fold (fun id (gen, _, _) acc -> (id, gen) :: acc) st.Journal.gens []
-    |> List.sort compare
-  in
-  List.iter (fun (id, gen) -> Vmm.restore_generation vmm ~id ~gen) generations;
-  let seal_generations =
-    Hashtbl.fold (fun tag gen acc -> (tag, gen) :: acc) st.Journal.seals []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (tag, gen) -> Vmm.restore_seal_generation vmm ~tag ~gen)
-    seal_generations;
+  Vmm.inherit_generations vmm st;
   List.iter (fun r -> Vmm.quarantine vmm r Violation.Torn_state) torn_resources;
   {
     epoch = loaded.Journal.repoch;
     replayed = loaded.Journal.replayed;
     pages;
-    generations;
+    generations =
+      Hashtbl.fold (fun id (gen, _, _) acc -> (id, gen) :: acc) st.Journal.gens []
+      |> List.sort compare;
     quarantined = torn_resources;
   }

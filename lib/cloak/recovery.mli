@@ -54,7 +54,8 @@ val replay :
   t
 (** Load the journal from [store], classify every page it binds to a
     device block, reinstall the verified ones ({!Vmm.restore_entry}) and
-    the freshness generations, and quarantine the resources owning torn
+    the freshness generations ({!Vmm.inherit_generations}), and
+    quarantine the resources owning torn
     pages. [read_block] resolves a journaled (device, block) pair to the
     surviving raw block contents ([None] if the device or block is gone,
     which counts as torn). Deterministic: pages are processed in sorted

@@ -3,7 +3,6 @@ open Machine
 type config = {
   multi_shadow : bool;
   clean_reencrypt : bool;
-  mem_pages : int;
   tlb_slots : int;
   cost_model : Cost.model;
   seed : int;
@@ -13,11 +12,13 @@ let default_config =
   {
     multi_shadow = true;
     clean_reencrypt = true;
-    mem_pages = 16384;
     tlb_slots = 256;
     cost_model = Cost.default;
     seed = 0xC10A5ED;
   }
+
+(* machine memory size in 4 KiB pages *)
+let mem_pages = 16384
 
 type range = {
   start_vpn : Addr.vpn;
@@ -72,7 +73,7 @@ let create ?(config = default_config) ?engine ?(trace = Trace.null) () =
   (* the flight recorder stamps events with the deterministic model clock,
      never wall time — same seed, same trace *)
   Trace.set_clock trace (fun () -> Cost.cycles cost);
-  let mem = Phys_mem.create ?engine ~pages:config.mem_pages () in
+  let mem = Phys_mem.create ?engine ~pages:mem_pages () in
   Phys_mem.set_trace mem trace;
   {
     cfg = config;
@@ -158,17 +159,32 @@ let advance_seal_generation t ~tag ~gen ~anchor =
        true
      end
 
+(* Take on the freshness a journal proved durable: every shm metadata
+   generation (and the shm ids it implies), then every seal generation,
+   each in sorted order and never backwards. Metadata exported and
+   checkpoints sealed before a restart then cannot be replayed as fresh
+   after it, and a fresh shm object never reuses a journaled id. *)
+let inherit_generations t (st : Journal.state) =
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+  in
+  List.iter
+    (fun (id, (gen, _, _)) ->
+      let known = Option.value ~default:0 (Hashtbl.find_opt t.generations id) in
+      Hashtbl.replace t.generations id (max known gen);
+      if id >= t.next_shm then t.next_shm <- id + 1)
+    (sorted st.Journal.gens);
+  List.iter
+    (fun (tag, gen) -> ignore (advance_seal_generation t ~tag ~gen ~anchor:false))
+    (sorted st.Journal.seals)
+
 let attach_journal ?ckpt_every t ~store =
   let j =
     Journal.attach ?engine:t.engine ~trace:t.trace ?ckpt_every
       ~key:(journal_key t) store
   in
   t.journal <- Some j;
-  (* inherit the seal freshness the journal proved durable, so checkpoints
-     sealed before a crash cannot be replayed as fresh after it *)
-  Hashtbl.iter
-    (fun tag gen -> ignore (advance_seal_generation t ~tag ~gen ~anchor:false))
-    (Journal.state j).Journal.seals;
+  inherit_generations t (Journal.state j);
   j
 
 (* Journal a fresh encryption of a persistent (shm) page. This runs before
@@ -1079,10 +1095,6 @@ let restore_entry t ~resource ~idx ~version ~iv ~mac =
   (match resource with
   | Resource.Shm id -> if id >= t.next_shm then t.next_shm <- id + 1
   | Anon _ -> ())
-
-let restore_generation t ~id ~gen =
-  Hashtbl.replace t.generations id gen;
-  if id >= t.next_shm then t.next_shm <- id + 1
 
 (* --- sealed-checkpoint freshness (see [advance_seal_generation]) --- *)
 

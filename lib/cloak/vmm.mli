@@ -27,7 +27,6 @@ type config = {
           read-only until first write, and unmodified pages re-encrypt
           deterministically (same IV/version/MAC, AES-only cost). Disable
           for the E10 ablation. *)
-  mem_pages : int;        (** machine memory size in 4 KiB pages *)
   tlb_slots : int;
   cost_model : Cost.model;
   seed : int;             (** PRNG seed for IVs; determinism knob *)
@@ -206,9 +205,18 @@ val import_metadata : t -> bytes -> imported
     power cut. Anon resources die with the VMM and are never journaled. *)
 
 val attach_journal : ?ckpt_every:int -> t -> store:Journal.store -> Journal.t
-(** Open (or recover and re-checkpoint) the journal on the given store and
-    wire it into the cloaking engine. The journal key is derived from the
-    VMM's MAC key, so a VMM recreated from the same seed can read it. *)
+(** Open (or recover and re-checkpoint) the journal on the given store,
+    wire it into the cloaking engine and {!inherit_generations} from it.
+    The journal key is derived from the VMM's MAC key, so a VMM recreated
+    from the same seed can read it. *)
+
+val inherit_generations : t -> Journal.state -> unit
+(** Take on the freshness the journal proved durable: every shm metadata
+    generation and the shm ids it implies, then every seal generation,
+    each in sorted order and never moving a generation backwards. After
+    it, an exported metadata blob or sealed checkpoint older than the
+    journal's latest is refused as stale, and {!fresh_shm} never reuses a
+    journaled id. Used by {!attach_journal} and crash recovery. *)
 
 val journal : t -> Journal.t option
 
@@ -252,9 +260,6 @@ val restore_entry :
   t -> resource:Resource.t -> idx:int -> version:int -> iv:bytes -> mac:bytes -> unit
 (** Reinstall a verified page record in the Encrypted state. *)
 
-val restore_generation : t -> id:int -> gen:int -> unit
-(** Reinstall a shm object's freshness generation. *)
-
 (** {1 Sealed-checkpoint support (see [Seal])}
 
     Sealed checkpoints of cloaked processes carry their own freshness
@@ -276,8 +281,9 @@ val bump_seal_generation : t -> tag:string -> int
     an old one. *)
 
 val restore_seal_generation : t -> tag:string -> gen:int -> unit
-(** Recovery-side reinstall; keeps the maximum of the known and restored
-    generations. *)
+(** Raise the resource's seal generation to [gen] if that is forward,
+    without journaling it — what a restore does for the blob it just
+    accepted ({!Seal.unseal}). *)
 
 val retire_seal_generation : t -> tag:string -> gen:int -> unit
 (** Single-use anchoring: advance the resource's seal generation {e past}

@@ -76,10 +76,10 @@ type fleet = {
   f_seed : int;
   engine : Inject.t;
   ch : Cloak.Migrate.channel;
-  bal : Cloak.Balancer.t;
+  bal : Balancer.t;
   hosts : host array;
   jitter : Oscrypto.Prng.t;
-  tel : Telemetry.t array;  (* per-host registries, merged after the run *)
+  tel : Telemetry.t;  (* the fleet registry; spans carry their host *)
   seqs : (int, int ref) Hashtbl.t;  (* per request: next hop sequence *)
   mutable sessions : int;
   mutable failovers : failover list;  (* committed, newest first *)
@@ -112,7 +112,7 @@ let choose_target fl ~src ~travelling_pid =
       if
         j <> src
         && (not h.spawned)
-        && Cloak.Balancer.state fl.bal j = Cloak.Balancer.Healthy
+        && Balancer.state fl.bal j = Balancer.Healthy
         && not (List.exists (fun fo -> fo.fo_pid = travelling_pid) queued)
       then begin
         let load = List.length queued in
@@ -151,10 +151,9 @@ let failover fl h ~dst ~drain blob =
           fo_downtime = t1 - t0 }
         :: fl.failovers;
       let hop = if drain then "drain" else "rescue" in
-      let tel = fl.tel.(h.idx) in
-      Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop ~seq:(next_seq fl h.tid)
+      Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop ~seq:(next_seq fl h.tid)
         ~t0 ~t1;
-      Telemetry.incr tel ~host:h.idx ~at:t1 (hop ^ "-commit");
+      Telemetry.sample fl.tel ~at:t1 (hop ^ "-commit") 1;
       Some t1
   | _ -> None
 
@@ -169,22 +168,21 @@ let rec hook fl h blob =
   | Some Inject.Crash_point -> Inject.crashed Inject.Host_power
   | Some _ | None -> ());
   let now = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
-  let tel = fl.tel.(h.idx) in
   (match Inject.fire fl.engine Inject.Hb_send with
   | Some _ ->
-      Cloak.Balancer.missed_heartbeat fl.bal h.idx;
+      Balancer.missed_heartbeat fl.bal h.idx;
       fl.hb_timeouts <- fl.hb_timeouts + 1;
-      Telemetry.incr tel ~host:h.idx ~at:now "hb-miss"
+      Telemetry.sample fl.tel ~at:now "hb-miss" 1
   | None ->
-      Cloak.Balancer.heartbeat fl.bal h.idx ~now;
-      Telemetry.incr tel ~host:h.idx ~at:now "heartbeat");
+      Balancer.heartbeat fl.bal h.idx ~now;
+      Telemetry.sample fl.tel ~at:now "heartbeat" 1);
   (* each heartbeat interval is one instant hop of the host's request,
      so the causal trace shows liveness between the coarse stage hops *)
-  Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"heartbeat"
+  Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop:"heartbeat"
     ~seq:(next_seq fl h.tid) ~t0:now ~t1:now;
   let contained = (Cloak.Vmm.counters h.st.vmm).contained in
   for _ = 1 to min 32 (contained - h.last_contained) do
-    Cloak.Balancer.record_error fl.bal h.idx
+    Balancer.record_error fl.bal h.idx
   done;
   h.last_contained <- contained;
   let rearm () = Kernel.request_migration h.st.k ~pid:h.pid (hook fl h) in
@@ -193,9 +191,9 @@ let rec hook fl h blob =
      an already-degraded fleet trades a maybe-sick host for certain
      queueing pain. Deaths are involuntary and always handled. *)
   if
-    Cloak.Balancer.suspect fl.bal h.idx ~now
+    Balancer.suspect fl.bal h.idx ~now
     && h.drain_attempts < max_drain_attempts
-    && Cloak.Balancer.serving fl.bal = n_hosts
+    && Balancer.serving fl.bal = n_hosts
   then begin
     h.drain_attempts <- h.drain_attempts + 1;
     match choose_target fl ~src:h.idx ~travelling_pid:h.pid with
@@ -212,7 +210,7 @@ let rec hook fl h blob =
         | Some at ->
             h.drained <- true;
             h.drain_at <- at;
-            Cloak.Balancer.mark_dead fl.bal h.idx ~now:at;
+            Balancer.mark_dead fl.bal h.idx ~now:at;
             Kernel.Mig_commit
         | None ->
             (* aborted: resume at the source, nothing was staled, and the
@@ -233,8 +231,8 @@ let rec hook fl h blob =
 let crash_failover fl h =
   h.died <- true;
   h.death_at <- Cost.cycles (Cloak.Vmm.cost h.st.vmm);
-  Cloak.Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
-  Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:h.death_at "host-death";
+  Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
+  Telemetry.sample fl.tel ~at:h.death_at "host-death" 1;
   fl.lost <- fl.lost + List.length h.adopted;
   if not h.drained then
     match Kernel.supervision_stats h.st.k ~pid:h.pid with
@@ -263,9 +261,9 @@ let adopt_pending fl h errors =
           (* the adopt hop continues the request's trace under the id
              carried (MAC-covered) in the migration frames, not a local
              guess — this is what stitches the two hosts together *)
-          Telemetry.span fl.tel.(h.idx) ~host:h.idx ~tid:fo.fo_tid ~hop:"adopt"
+          Telemetry.span fl.tel ~host:h.idx ~tid:fo.fo_tid ~hop:"adopt"
             ~seq:(next_seq fl fo.fo_tid) ~t0 ~t1;
-          Telemetry.incr fl.tel.(h.idx) ~host:h.idx ~at:t1 "adopt";
+          Telemetry.sample fl.tel ~at:t1 "adopt" 1;
           h.adopted <- (p, fo.fo_src, fo.fo_tid) :: h.adopted
       | exception e ->
           errors :=
@@ -280,7 +278,7 @@ let adopt_pending fl h errors =
    mechanism run's timeline: Poisson arrivals (inverse transform from the
    seeded PRNG) at 60% of fleet capacity, fixed service time calibrated
    to 1/200th of the mechanism horizon, bounded per-host queues. The
-   supervised variant routes through {!Cloak.Balancer} fed with the
+   supervised variant routes through {!Balancer} fed with the
    mechanism's drain/death timeline (deaths become visible one detection
    delay later); the unsupervised baseline routes least-backlogged across
    all hosts forever — the classic dead-backend failure mode, where the
@@ -313,13 +311,7 @@ let goodput s = s.sim_within_budget
 let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
   let n = Array.length hosts in
   let horizon = Array.fold_left (fun a h -> max a h.end_at) 1 hosts in
-  (* ~24 windows over the run: coarse enough that every window sees
-     traffic, fine enough that an outage spans several *)
-  let tel =
-    if telemetry then
-      Telemetry.create ~window_cycles:(max 1 (horizon / 24)) ()
-    else Telemetry.null
-  in
+  let tel = if telemetry then Telemetry.create () else Telemetry.null in
   let svc = max 1 (horizon / 200) in
   (* queue bound 6 ⇒ an admitted request on a live host waits at most 6
      service times, so the budget of 8 is met by construction fault-free *)
@@ -330,7 +322,7 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
   in
   let backoff = max 1 (horizon / 6) in
   let bal =
-    Cloak.Balancer.create ~hosts:n
+    Balancer.create ~hosts:n
       ~rejoin_backoff:(if supervised then backoff else 0) ()
   in
   (* when the supervisor takes host i out of rotation, if ever: a drain is
@@ -378,7 +370,7 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
     (* SLO series, stamped at admission: the outcome is known
        synchronously here, so a window's good count can never exceed its
        admitted count *)
-    Telemetry.incr tel ~at:t_arr "admitted";
+    Telemetry.sample tel ~at:t_arr "admitted" 1;
     let s = max t_arr busy.(i) in
     let fin = s + svc in
     busy.(i) <- fin;
@@ -398,19 +390,19 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
     if ok then begin
       let lat = fin - t_arr in
       Trace.Hist.add hist lat;
-      Telemetry.observe tel ~at:t_arr "latency" lat;
+      Telemetry.sample tel ~at:t_arr "latency" lat;
       if lat <= budget then begin
         within := !within + 1;
-        Telemetry.incr tel ~at:t_arr "good"
+        Telemetry.sample tel ~at:t_arr "good" 1
       end
     end
   in
   let t = ref (next_gap ()) in
   while !t < horizon do
-    (* the queue-depth gauge records the routing signal; the router reads
-       [depth] itself, so telemetry on or off routes identically *)
+    (* the queue-depth samples record the routing signal; the router
+       reads [depth] itself, so telemetry on or off routes identically *)
     for i = 0 to n - 1 do
-      Telemetry.gauge tel ~host:i ~at:!t "queue-depth" (depth i !t)
+      Telemetry.sample tel ~at:!t "queue-depth" (depth i !t)
     done;
     (* a revived host restarts with an empty queue *)
     Array.iteri
@@ -427,14 +419,14 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
           match rm with
           | Some at when (not removed.(i)) && !t >= at ->
               removed.(i) <- true;
-              Cloak.Balancer.mark_dead bal i ~now:!t
+              Balancer.mark_dead bal i ~now:!t
           | _ -> ())
         removal;
-      Cloak.Balancer.tick bal ~now:!t;
-      match Cloak.Balancer.route bal ~load:(fun i -> depth i !t) with
+      Balancer.tick bal ~now:!t;
+      match Balancer.route bal ~load:(fun i -> depth i !t) with
       | Ok i -> serve i !t
-      | Error Cloak.Balancer.Overload -> sh_o := !sh_o + 1
-      | Error Cloak.Balancer.No_capacity -> sh_n := !sh_n + 1
+      | Error Balancer.Overload -> sh_o := !sh_o + 1
+      | Error Balancer.No_capacity -> sh_n := !sh_n + 1
     end
     else begin
       (* no supervisor: least-backlogged host, dead or not *)
@@ -442,14 +434,17 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
       for i = 1 to n - 1 do
         if depth i !t < depth !best !t then best := i
       done;
-      if depth !best !t < Cloak.Balancer.queue_bound then serve !best !t
+      if depth !best !t < Balancer.queue_bound then serve !best !t
       else sh_o := !sh_o + 1
     end;
     t := !t + next_gap ()
   done;
-  let goods = Telemetry.counter_windows_all tel "good" in
-  let totals = Telemetry.counter_windows_all tel "admitted" in
-  let lat_windows = Telemetry.hist_windows_all tel "latency" in
+  (* ~24 windows over the run: coarse enough that every window sees
+     traffic, fine enough that an outage spans several *)
+  let width = max 1 (horizon / 24) in
+  let goods = Telemetry.window_sums tel ~width "good" in
+  let totals = Telemetry.window_sums tel ~width "admitted" in
+  let lat_windows = Telemetry.window_hists tel ~width "latency" in
   let timeline =
     List.map
       (fun (w, total) ->
@@ -462,7 +457,7 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
         (w, total, good, p99))
       totals
   in
-  let ev = Telemetry.Slo.evaluate ~good:goods ~total:totals () in
+  let ev = Telemetry.Slo.evaluate ~good:goods ~total:totals in
   {
     sim_admitted = !admitted;
     sim_within_budget = !within;
@@ -490,7 +485,7 @@ type run = {
   r_cycles : int;  (* total charged model cycles across all hosts *)
   r_sup : sim;
   r_unsup : sim;
-  r_tel : Telemetry.t;  (* the hosts' registries merged fleet-level *)
+  r_tel : Telemetry.t;  (* the fleet registry *)
   r_stitched : int;  (* complete cross-host causal traces *)
   r_host_traces : (int * string * Trace.t) list;  (* per-host flight recorders *)
   r_obs : Stack.obs;  (* crash: an exception that escaped the harness *)
@@ -514,12 +509,10 @@ let run_once ?(telemetry = true) ~plan ~seed () =
       f_seed = seed;
       engine;
       ch = Cloak.Migrate.channel ~engine ();
-      bal = Cloak.Balancer.create ~hosts:n_hosts ();
+      bal = Balancer.create ~hosts:n_hosts ();
       hosts;
       jitter = Oscrypto.Prng.create ~seed:(seed lxor 0xF7EE);
-      tel =
-        Array.init n_hosts (fun _ ->
-            if telemetry then Telemetry.create () else Telemetry.null);
+      tel = (if telemetry then Telemetry.create () else Telemetry.null);
       seqs = Hashtbl.create 8;
       sessions = 0;
       failovers = [];
@@ -532,13 +525,12 @@ let run_once ?(telemetry = true) ~plan ~seed () =
   Array.iter
     (fun h ->
       if !escaped = None then begin
-        let tel = fl.tel.(h.idx) in
         adopt_pending fl h errors;
         (* admit the request before the process exists, and reserve the
            service hop's sequence slot so the span (only emitted once its
            end is known) still sorts before the heartbeats it encloses *)
         let t_adm = Cost.cycles (Cloak.Vmm.cost h.st.vmm) in
-        Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"admission"
+        Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop:"admission"
           ~seq:(next_seq fl h.tid) ~t0:t_adm ~t1:t_adm;
         let svc_seq = next_seq fl h.tid in
         h.pid <- Kernel.spawn_supervised h.st.k ~policy service;
@@ -555,21 +547,21 @@ let run_once ?(telemetry = true) ~plan ~seed () =
           else if h.died then h.death_at
           else h.end_at
         in
-        Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"service" ~seq:svc_seq
+        Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop:"service" ~seq:svc_seq
           ~t0:h.spawn_at ~t1:svc_end;
         if !escaped = None && not h.died then begin
           if
             (not h.drained)
             && Kernel.exit_status h.st.k ~pid:h.pid = Some 0
           then
-            Telemetry.span tel ~host:h.idx ~tid:h.tid ~hop:"completion"
+            Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop:"completion"
               ~seq:(next_seq fl h.tid) ~t0:h.end_at ~t1:h.end_at;
           (* adopted requests that ran to exit complete here, closing the
              cross-host trace their migration frames carried over *)
           List.iter
             (fun (pid, _src, tid) ->
               if Kernel.exit_status h.st.k ~pid = Some 0 then
-                Telemetry.span tel ~host:h.idx ~tid ~hop:"completion"
+                Telemetry.span fl.tel ~host:h.idx ~tid ~hop:"completion"
                   ~seq:(next_seq fl tid) ~t0:h.end_at ~t1:h.end_at)
             h.adopted
         end
@@ -616,7 +608,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
     let sum = ref 0.0 and cnt = ref 0 in
     Array.iteri
       (fun i _ ->
-        let g = Cloak.Balancer.mean_gap fl.bal i in
+        let g = Balancer.mean_gap fl.bal i in
         if g > 0.0 then begin
           sum := !sum +. g;
           incr cnt
@@ -629,14 +621,12 @@ let run_once ?(telemetry = true) ~plan ~seed () =
   let deaths =
     Array.fold_left (fun a h -> if h.died then a + 1 else a) 0 hosts
   in
-  (* fleet-level series: the per-host registries merged (associatively —
-     any order gives the same series), then every committed failover
-     checked for its stitched cross-host causal trace *)
-  let r_tel = Telemetry.merge_all (Array.to_list fl.tel) in
+  (* every committed failover checked for its stitched cross-host causal
+     trace *)
   let stitched =
-    if not (Telemetry.enabled r_tel) then 0
+    if not (Telemetry.enabled fl.tel) then 0
     else begin
-      let traces = Telemetry.Causal.stitch (Telemetry.spans r_tel) in
+      let traces = Telemetry.Causal.stitch (Telemetry.spans fl.tel) in
       if !escaped = None then
         List.iter
           (fun rc ->
@@ -681,7 +671,7 @@ let run_once ?(telemetry = true) ~plan ~seed () =
         0 hosts;
     r_sup = sup;
     r_unsup = unsup;
-    r_tel;
+    r_tel = fl.tel;
     r_stitched = stitched;
     r_host_traces =
       List.map

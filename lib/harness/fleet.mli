@@ -10,7 +10,7 @@
       the hostile network ([Inject.Hb_send]: a fired rule is a lost
       beat), the host's power feed is probed ([Inject.Host_power]: a
       [Crash_point] kills the whole VMM), and contained faults feed the
-      balancer's error term. {!Cloak.Balancer.suspicion} accrues
+      balancer's error term. {!Balancer.suspicion} accrues
       phi-accrual-style evidence over all three.
     - {b failover} — a suspect host's cloaked process is drained onto a
       healthy peer through the authenticated {!Cloak.Migrate} protocol,
@@ -24,7 +24,7 @@
       an aborted one leaves it serving for the next attempt.
     - {b graceful degradation} — an open-loop overlay (deterministic
       Poisson arrivals at 60% of fleet capacity, bounded per-host
-      queues) routes through {!Cloak.Balancer}: requests that cannot be
+      queues) routes through {!Balancer}: requests that cannot be
       placed are shed with a typed reason, never queued unboundedly, and
       lost capacity halves the admission bound fleet-wide. Dead hosts
       re-admit after a backoff at reduced service. The same arrival
@@ -92,7 +92,8 @@ type run = {
   r_sup : sim;
   r_unsup : sim;
   r_tel : Telemetry.t;
-      (** every host's registry merged — counters summed, spans pooled *)
+      (** the fleet registry: every host's samples and spans, each span
+          carrying its host *)
   r_stitched : int;
       (** complete causal traces spanning ≥ 2 hosts (each a failover
           followed cross-host from admission to completion) *)
@@ -106,8 +107,8 @@ type run = {
 }
 
 val run_once : ?telemetry:bool -> plan:Inject.plan -> seed:int -> unit -> run
-(** One scenario. [telemetry] (default true) selects a live registry per
-    host; [false] threads {!Telemetry.null} everywhere instead — the
+(** One scenario. [telemetry] (default true) selects one live fleet
+    registry; [false] threads {!Telemetry.null} everywhere instead — the
     instrumented paths all become no-ops, and because host [i]'s request
     trace id is [i + 1] either way the wire bytes (hence every cycle
     count) are identical. The overlay routes on each host's queue depth

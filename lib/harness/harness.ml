@@ -5,7 +5,7 @@ module Chaos = Chaos
 module Crash = Crash
 module Soak = Soak
 module Migrate = Migrate
-module Balancer = Cloak.Balancer
+module Balancer = Balancer
 module Fleet = Fleet
 module Observe = Observe
 module Adversary = Adversary

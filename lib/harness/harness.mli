@@ -33,7 +33,7 @@ module Migrate = Migrate
 (** Re-export: live migration of a cloaked process over a hostile, lossy
     channel, with a crash matrix on both sides). *)
 
-module Balancer = Cloak.Balancer
+module Balancer = Balancer
 (** Re-export: the fleet supervision policy layer (suspicion scoring,
     admission control, routing) the fleet harness drives. *)
 

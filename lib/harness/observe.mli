@@ -1,7 +1,7 @@
 (** Observability harness: the telemetry plane's two-sided proof.
 
     One hostile fleet scenario ({!Fleet.fleet_plan}) is run twice at the
-    same seed — per-host registries disabled ({!Telemetry.null}), then
+    same seed — the fleet registry disabled ({!Telemetry.null}), then
     enabled — and the harness demands:
 
     - {b free when off} — the charged model-cycle totals of the two runs
@@ -9,7 +9,7 @@
       MIGF1 header whether or not a registry is live, so enabling
       telemetry changes no wire byte, no MAC length, no cycle. The
       overlay's routing must agree too: the router reads each host's
-      queue depth itself, and the [queue-depth] gauge only records it.
+      queue depth itself, and the [queue-depth] samples only record it.
     - {b load-bearing when on} — the enabled run actually observed the
       scenario: samples and spans were recorded, every committed
       failover stitched into a complete cross-host causal trace, a dead

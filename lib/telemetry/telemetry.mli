@@ -1,113 +1,71 @@
-(** Fleet-wide windowed telemetry: time-series metrics, SLO burn-rate
-    monitoring, and causal cross-host request tracing.
+(** Fleet telemetry: an append-only sample log with windowed read-time
+    folds, SLO burn-rate monitoring, and causal cross-host request
+    tracing.
 
     The flight recorder ({!Trace}) answers "what happened on this VMM";
-    telemetry answers "how is the fleet doing over time". Samples are
-    stamped with the deterministic model-cycle clock and bucketed into
-    fixed cycle-width windows, so two runs from the same seed produce
-    byte-identical series. Per-VMM registries merge associatively into
-    fleet-level series ({!merge}), which is what lets a supervisor
-    aggregate hosts in any order.
+    telemetry answers "how is the fleet doing over time". A registry is
+    a log of samples, each a name, a model-cycle stamp and an int value
+    (an event counts 1, a latency its cycles, a queue depth its value),
+    plus the causal spans. Nothing is bucketed at write time: a reader
+    picks a window width and folds the log into per-window sums
+    ({!window_sums}) or latency histograms ({!window_hists}). Stamps are
+    the deterministic model-cycle clock, so two runs from the same seed
+    fold into byte-identical series. One registry serves a whole fleet:
+    spans carry their host, and no reader splits samples by host.
 
-    Like the recorder's null sink, the disabled path ({!null}) records
-    nothing, allocates nothing on the sampling path, and charges zero
-    model cycles — wiring it through the stack can never perturb
-    benchmark numbers (proven by [make telemetry]).
-
-    Three instrument kinds share the registry:
-
-    - {e counters} — monotonic per-window increments (admissions, errors);
-    - {e gauges} — last-write-wins point samples per window, with window
-      min/max (queue depth, load);
-    - {e histograms} — log2-bucket latency distributions per window,
-      backed by {!Trace.Hist} so percentile extraction and merge follow
-      the recorder's bracketing guarantees.
-
-    Series are keyed by name and an optional small-int host label, so one
-    registry can hold per-host series and still answer fleet-level
-    queries ({!counter_windows_all}, {!hist_windows_all}). *)
+    Like the recorder's null sink, the disabled registry ({!null}) is an
+    immutable constant: it records nothing, allocates nothing on the
+    sampling path, and charges zero model cycles — wiring it through the
+    stack can never perturb benchmark numbers (proven by
+    [make telemetry]). *)
 
 (** {1 Registry} *)
 
 type t
 
 val null : t
-(** The shared disabled registry: every write is a single branch, every
-    read returns empty. *)
+(** The disabled registry: every write is a single branch, every read
+    returns empty. *)
 
-val create : ?window_cycles:int -> ?span_cap:int -> unit -> t
-(** A live registry bucketing samples into windows of [window_cycles]
-    model cycles (default {!default_window_cycles}) and retaining at most
-    [span_cap] causal spans (default {!default_span_cap}; older spans are
-    never evicted — excess ones are not recorded). *)
+val create : unit -> t
+(** A fresh, live, empty registry. *)
 
-val default_window_cycles : int
-val default_span_cap : int
 val enabled : t -> bool
 (** [false] exactly for {!null}. Guard sample-payload computation on this
     so the disabled path stays allocation-free. *)
 
-val window_cycles : t -> int
-val window_of : t -> int -> int
-(** [window_of t cycles] is the window index holding stamp [cycles]. *)
+(** {1 Writing}
 
-(** {1 Sampling}
+    Both writes are no-ops on {!null}. *)
 
-    All writes are no-ops on {!null}. [?host] defaults to [-1] (the
-    unlabelled series); [at] is the model-cycle stamp. Writing a name
-    with two different instrument kinds raises [Invalid_argument]. *)
-
-val incr : t -> ?host:int -> ?by:int -> at:int -> string -> unit
-(** Add [by] (default 1) to the counter [name] in the window of [at]. *)
-
-val gauge : t -> ?host:int -> at:int -> string -> int -> unit
-(** Record a point sample: the window keeps the last-written value (by
-    stamp) plus its min/max over the window. *)
-
-val observe : t -> ?host:int -> at:int -> string -> int -> unit
-(** Add a value to the histogram [name] in the window of [at]. *)
+val sample : t -> at:int -> string -> int -> unit
+(** [sample t ~at name v] appends one sample of series [name] with value
+    [v], stamped at model cycle [at]. *)
 
 val span :
   ?host:int -> t -> tid:int -> hop:string -> seq:int -> t0:int -> t1:int -> unit
 (** Record a causal span: request [tid] passed through [hop] on [host]
-    from cycle [t0] to [t1]; [seq] is the request's hop sequence number
-    (minted by the caller, totally ordering the request's hops across
-    hosts). Dropped (and counted) beyond the registry's span cap. *)
+    (default [-1], outside any host) from cycle [t0] to [t1]; [seq] is
+    the request's hop sequence number (minted by the caller, totally
+    ordering the request's hops across hosts). *)
 
 (** {1 Reading} *)
 
 val samples : t -> int
-(** Metric samples ever recorded (counter incrs + gauge writes +
-    histogram observations). *)
+(** Samples ever recorded, across every series. *)
 
 val span_count : t -> int
 
-val names : t -> string list
-(** Distinct series names, sorted. *)
+val window_sums : t -> width:int -> string -> (int * int) list
+(** The values of series [name] summed per window of [width] model
+    cycles (window [at / width]; a negative stamp falls in window 0), as
+    [(window, sum)] ascending. Windows with no sample are absent.
+    Raises [Invalid_argument] unless [width > 0]. *)
 
-val hosts : t -> string -> int list
-(** Host labels carrying series [name], sorted ([-1] = unlabelled). *)
-
-val counter_windows : t -> ?host:int -> string -> (int * int) list
-(** Per-window totals [(window, total)] for one host's counter, ascending
-    by window; empty windows are absent. *)
-
-val counter_total : t -> ?host:int -> string -> int
-
-val counter_windows_all : t -> string -> (int * int) list
-(** Per-window totals summed across all hosts carrying [name]. *)
-
-val gauge_last : t -> ?host:int -> string -> (int * int) option
-(** The most recent gauge sample as [(stamp, value)], across windows. *)
-
-val gauge_windows : t -> ?host:int -> string -> (int * int * int * int) list
-(** Per-window [(window, last, min, max)], ascending. *)
-
-val hist_windows : t -> ?host:int -> string -> (int * Trace.Hist.h) list
-(** Per-window histograms for one host's series, ascending by window. *)
-
-val hist_windows_all : t -> string -> (int * Trace.Hist.h) list
-(** Per-window histograms merged across all hosts carrying [name]. *)
+val window_hists : t -> width:int -> string -> (int * Trace.Hist.h) list
+(** The values of series [name] per window, as log2 histograms
+    ({!Trace.Hist}, so percentile extraction keeps the recorder's
+    bracketing guarantee); windows as in {!window_sums}. *)
 
 (** {1 Causal traces} *)
 
@@ -150,40 +108,13 @@ module Causal : sig
 end
 
 val spans : t -> Causal.span list
-(** Retained spans in canonical order (tid, seq, host, t0, hop) — the
-    order is a function of the span {e set}, so merging registries in any
-    order yields the same list. *)
-
-(** {1 Merge} *)
-
-val merge : t -> t -> t
-(** A fresh registry holding both inputs' samples: counters add, gauges
-    keep the later write (and combine min/max), histograms merge
-    per-bucket, spans concatenate. Associative and commutative up to the
-    canonical accessor orders above. Raises [Invalid_argument] if the
-    window widths differ or a name's instrument kinds disagree.
-    [merge null t] and [merge t null] return a copy of [t]. *)
-
-val merge_all : t list -> t
-(** Fold {!merge} over the list; {!null} on []. *)
+(** Recorded spans in canonical order (tid, seq, host, t0, hop) — a
+    function of the span {e set}, so the list does not depend on the
+    order in which hosts wrote them. *)
 
 (** {1 SLO burn-rate monitoring} *)
 
 module Slo : sig
-  type config = {
-    target : float;       (** in-budget fraction objective, e.g. 0.99 *)
-    fast_windows : int;   (** lookback for the fast (page) alert *)
-    fast_burn : float;    (** burn-rate threshold for the fast alert *)
-    slow_windows : int;   (** lookback for the slow (ticket) alert *)
-    slow_burn : float;
-    hysteresis : float;   (** an active alert clears only when burn drops
-                              to [<= threshold * hysteresis] *)
-  }
-
-  val default : config
-  (** target 0.99, fast 2 windows @ burn 6.0, slow 6 windows @ burn 2.0,
-      hysteresis 0.5. *)
-
   type alert = {
     a_window : int;    (** window index the alert fired at *)
     a_fast : bool;     (** fast or slow alert *)
@@ -191,22 +122,20 @@ module Slo : sig
   }
 
   type eval = {
-    ev_windows : (int * float * float) list;
-      (** per evaluated window: (window, goodput fraction, worst burn) *)
     ev_fast_fires : int;
     ev_slow_fires : int;
     ev_worst_burn : float;
     ev_alerts : alert list;  (** firing transitions only, ascending *)
   }
 
-  val evaluate :
-    ?config:config ->
-    good:(int * int) list -> total:(int * int) list -> unit -> eval
-  (** Replay per-window [good] and [total] counter series (as returned by
-      {!counter_windows_all}) through the burn-rate monitor. The burn
-      rate over a lookback of [k] windows ending at [w] is
-      [(error fraction over those windows) / (1 - target)]; an alert
-      fires on the transition past its threshold and clears (hysteresis)
-      before it can fire again. Windows with no traffic contribute
-      nothing to the lookback. *)
+  val evaluate : good:(int * int) list -> total:(int * int) list -> eval
+  (** Replay per-window [good] and [total] counts (as returned by
+      {!window_sums}) through the burn-rate monitor against a 0.99
+      in-budget objective. The burn rate over a lookback of [k] windows
+      ending at [w] is [(error fraction over those windows) / 0.01]; the
+      fast (page) alert looks back 2 windows and fires past burn 6.0, the
+      slow (ticket) alert 6 windows past burn 2.0. An alert fires on the
+      transition past its threshold and clears only once the burn drops to
+      half the threshold, before it can fire again. Windows with no
+      traffic contribute nothing to the lookback. *)
 end

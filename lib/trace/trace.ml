@@ -153,20 +153,6 @@ module Hist = struct
     end
 
   let percentile h p = snd (percentile_bounds h p)
-
-  (* Per-bucket sum plus the scalar moments. Fresh result, both inputs
-     untouched; associative and commutative because every field merge is
-     (+, min, max over the same bucketing). *)
-  let merge a b =
-    let m = create () in
-    for i = 0 to nbuckets - 1 do
-      m.counts.(i) <- a.counts.(i) + b.counts.(i)
-    done;
-    m.n <- a.n + b.n;
-    m.sum <- a.sum + b.sum;
-    m.min_v <- min a.min_v b.min_v;
-    m.max_v <- max a.max_v b.max_v;
-    m
 end
 
 (* --- sinks --- *)
@@ -182,8 +168,6 @@ type t = {
   mutable total : int;  (* ever recorded, including evicted *)
   mutable clock : unit -> int;
   mutable cur : ctx;
-  hists : (kind, Hist.h) Hashtbl.t;
-  open_spans : (kind, int list) Hashtbl.t;  (* per-kind enter-cycle stacks *)
 }
 
 let dummy =
@@ -200,8 +184,6 @@ let null =
     total = 0;
     clock = (fun () -> 0);
     cur = Kernel;
-    hists = Hashtbl.create 1;
-    open_spans = Hashtbl.create 1;
   }
 
 let ring ?(cap = default_cap) () =
@@ -215,8 +197,6 @@ let ring ?(cap = default_cap) () =
     total = 0;
     clock = (fun () -> 0);
     cur = Kernel;
-    hists = Hashtbl.create 31;
-    open_spans = Hashtbl.create 31;
   }
 
 let enabled t = t.live
@@ -267,45 +247,12 @@ let emit t ?ctx ?(page = -1) ?(pid = -1) ?(site = "") ?(aux = 0) kind =
   if t.live then record t Instant ctx page pid site aux kind
 
 let span_enter t ?ctx ?(page = -1) ?(pid = -1) ?(site = "") ?(aux = 0) kind =
-  if t.live then begin
-    let stack = try Hashtbl.find t.open_spans kind with Not_found -> [] in
-    let now = t.clock () in
-    Hashtbl.replace t.open_spans kind (now :: stack);
-    push t
-      { kind; phase = Enter; cycles = now;
-        ctx = (match ctx with Some c -> c | None -> t.cur); page; pid; site; aux }
-  end
-
-let hist_for t kind =
-  match Hashtbl.find_opt t.hists kind with
-  | Some h -> h
-  | None ->
-      let h = Hist.create () in
-      Hashtbl.add t.hists kind h;
-      h
+  if t.live then record t Enter ctx page pid site aux kind
 
 let span_exit t ?ctx ?(page = -1) ?(pid = -1) ?(site = "") ?(aux = 0) kind =
-  if t.live then begin
-    let now = t.clock () in
-    (match Hashtbl.find_opt t.open_spans kind with
-    | Some (entered :: rest) ->
-        Hashtbl.replace t.open_spans kind rest;
-        Hist.add (hist_for t kind) (now - entered)
-    | Some [] | None -> ());
-    push t
-      { kind; phase = Exit; cycles = now;
-        ctx = (match ctx with Some c -> c | None -> t.cur); page; pid; site; aux }
-  end
+  if t.live then record t Exit ctx page pid site aux kind
 
-let span_abort t kind =
-  if t.live then begin
-    (match Hashtbl.find_opt t.open_spans kind with
-    | Some (_ :: rest) -> Hashtbl.replace t.open_spans kind rest
-    | Some [] | None -> ());
-    push t
-      { kind; phase = Abort; cycles = t.clock (); ctx = t.cur; page = -1;
-        pid = -1; site = ""; aux = 0 }
-  end
+let span_abort t kind = if t.live then record t Abort None (-1) (-1) "" 0 kind
 
 let with_span t ?ctx ?page ?pid ?site ?aux kind f =
   if not t.live then f ()
@@ -320,32 +267,52 @@ let with_span t ?ctx ?page ?pid ?site ?aux kind f =
         raise e
   end
 
-let histogram t kind = Hashtbl.find_opt t.hists kind
-
 let span_classes t =
+  let hists = Hashtbl.create 31 and open_spans = Hashtbl.create 31 in
+  let stack kind = Option.value ~default:[] (Hashtbl.find_opt open_spans kind) in
+  let hist kind =
+    match Hashtbl.find_opt hists kind with
+    | Some h -> h
+    | None ->
+        let h = Hist.create () in
+        Hashtbl.add hists kind h;
+        h
+  in
+  iter t (fun ev ->
+      match (ev.phase, stack ev.kind) with
+      | Enter, entered -> Hashtbl.replace open_spans ev.kind (ev.cycles :: entered)
+      | Exit, entered :: rest ->
+          Hashtbl.replace open_spans ev.kind rest;
+          Hist.add (hist ev.kind) (ev.cycles - entered)
+      | Abort, _ :: rest -> Hashtbl.replace open_spans ev.kind rest
+      | (Exit | Abort | Instant), _ -> ());
   List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt t.hists k with
-      | Some h when Hist.count h > 0 -> Some (k, h)
-      | _ -> None)
+    (fun k -> Option.map (fun h -> (k, h)) (Hashtbl.find_opt hists k))
     all_kinds
 
 (* --- rendering --- *)
 
+(* A head-truncated ring can orphan an exit from its enter, so the table
+   is only printed for a complete stream. *)
 let pp_decomposition ppf t =
-  let classes = span_classes t in
-  Format.fprintf ppf "@[<v>%-18s %10s %14s %10s %10s %10s@,"
-    "span class" "count" "total cycles" "p50" "p95" "p99";
-  Format.fprintf ppf "%s@," (String.make 76 '-');
-  let grand = List.fold_left (fun acc (_, h) -> acc + Hist.total h) 0 classes in
-  List.iter
-    (fun (k, h) ->
-      Format.fprintf ppf "%-18s %10d %14d %10d %10d %10d@," (kind_name k)
-        (Hist.count h) (Hist.total h) (Hist.percentile h 0.50)
-        (Hist.percentile h 0.95) (Hist.percentile h 0.99))
-    classes;
-  Format.fprintf ppf "%s@," (String.make 76 '-');
-  Format.fprintf ppf "%-18s %10s %14d@]" "spanned total" "" grand
+  if dropped t > 0 then
+    Format.fprintf ppf "span classes unavailable: the ring dropped %d events"
+      (dropped t)
+  else begin
+    let classes = span_classes t in
+    Format.fprintf ppf "@[<v>%-18s %10s %14s %10s %10s %10s@,"
+      "span class" "count" "total cycles" "p50" "p95" "p99";
+    Format.fprintf ppf "%s@," (String.make 76 '-');
+    let grand = List.fold_left (fun acc (_, h) -> acc + Hist.total h) 0 classes in
+    List.iter
+      (fun (k, h) ->
+        Format.fprintf ppf "%-18s %10d %14d %10d %10d %10d@," (kind_name k)
+          (Hist.count h) (Hist.total h) (Hist.percentile h 0.50)
+          (Hist.percentile h 0.95) (Hist.percentile h 0.99))
+      classes;
+    Format.fprintf ppf "%s@," (String.make 76 '-');
+    Format.fprintf ppf "%-18s %10s %14d@]" "spanned total" "" grand
+  end
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -13,7 +13,11 @@
       nothing, and (like every sink) charges zero model cycles; wiring it
       through the stack can never perturb E1–E11 numbers.
     - {!ring} — a bounded ring that keeps the most recent [cap] events and
-      counts evictions in {!dropped}. *)
+      counts evictions in {!dropped}.
+
+    A sink stores events and nothing else: every reader (the span-class
+    table {!span_classes}, the profiler, the invariant pass {!Check})
+    folds the retained stream when it is asked. *)
 
 (** {1 Event model} *)
 
@@ -106,16 +110,16 @@ val span_enter :
 
 val span_exit :
   t -> ?ctx:ctx -> ?page:int -> ?pid:int -> ?site:string -> ?aux:int -> kind -> unit
-(** Close the most recent open span of this kind: records an [Exit] event
-    and adds the enter→exit latency to the kind's histogram. An exit with
-    no open span records the event but updates no histogram. *)
+(** Record an [Exit] event. Readers pair it with the most recent open
+    enter of its kind ({!span_classes}); an exit with no open span pairs
+    with nothing. *)
 
 val span_abort : t -> kind -> unit
-(** Close the most recent open span of this kind without recording a
-    latency — for spans unwound by an exception, so a later exit cannot
-    pair with an abandoned enter. Records an [Abort] event (stamped at
-    the unwind clock) so the stream itself stays well-nested; the
-    invariant pass ignores [Abort] events entirely. *)
+(** Record an [Abort] event (stamped at the unwind clock) for a span
+    unwound by an exception: it closes the most recent open enter of its
+    kind with no latency, so a later exit cannot pair with an abandoned
+    enter and the stream stays well-nested. The invariant pass ignores
+    [Abort] events entirely. *)
 
 val with_span :
   t -> ?ctx:ctx -> ?page:int -> ?pid:int -> ?site:string -> ?aux:int -> kind ->
@@ -142,10 +146,10 @@ val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
 
 (** {1 Latency histograms}
 
-    Span latencies accumulate into per-kind log2-bucket histograms: bucket
-    0 holds exactly the value 0 and bucket [i ≥ 1] holds [2^(i-1) .. 2^i-1].
-    Percentile extraction returns bounds guaranteed to bracket the true
-    order statistic. *)
+    Span latencies fold into per-kind log2-bucket histograms at read time
+    ({!span_classes}): bucket 0 holds exactly the value 0 and bucket
+    [i ≥ 1] holds [2^(i-1) .. 2^i-1]. Percentile extraction returns bounds
+    guaranteed to bracket the true order statistic. *)
 
 module Hist : sig
   type h
@@ -170,27 +174,21 @@ module Hist : sig
 
   val create : unit -> h
   val add : h -> int -> unit
-
-  val merge : h -> h -> h
-  (** Per-bucket sum into a fresh histogram; both inputs are untouched.
-      Associative and commutative (every field combines by [+], [min] or
-      [max] over the same fixed bucketing), so per-VMM histograms fold
-      into a fleet histogram in any order. {!percentile_bounds} on the
-      merged histogram still brackets the true order statistic of the
-      combined sample. *)
 end
 
-val histogram : t -> kind -> Hist.h option
-(** The kind's latency histogram, if any span of that kind completed. *)
-
 val span_classes : t -> (kind * Hist.h) list
-(** All kinds with at least one completed span, in {!all_kinds} order. *)
+(** The retained events folded into one latency histogram per kind: an
+    exit closes the innermost open enter of its kind and adds their cycle
+    difference, an abort closes it with no latency, a stray exit adds
+    nothing. All kinds with at least one completed span, in {!all_kinds}
+    order. Exact only when nothing was {!dropped}. *)
 
 (** {1 Rendering} *)
 
 val pp_decomposition : Format.formatter -> t -> unit
 (** The E4-style overhead decomposition: per span class, count, total
-    cycles, and p50/p95/p99 latency. *)
+    cycles, and p50/p95/p99 latency. On a ring that dropped events it
+    prints one "unavailable" line instead. *)
 
 val to_chrome_json : ?host:int * string -> t -> string
 (** The retained events as Chrome [trace_event] JSON (load in

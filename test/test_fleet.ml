@@ -6,142 +6,142 @@
 
 let vconfig = { Cloak.Vmm.default_config with seed = 0xF1EE }
 
-let bal ?rejoin_backoff hosts = Cloak.Balancer.create ~hosts ?rejoin_backoff ()
+let bal ?rejoin_backoff hosts = Harness.Balancer.create ~hosts ?rejoin_backoff ()
 
 let check_state what expected b i =
   Alcotest.(check string) what
-    (Cloak.Balancer.state_to_string expected)
-    (Cloak.Balancer.state_to_string (Cloak.Balancer.state b i))
+    (Harness.Balancer.state_to_string expected)
+    (Harness.Balancer.state_to_string (Harness.Balancer.state b i))
 
 (* --- suspicion accrual and the Suspect latch --- *)
 
 let test_suspicion_accrues_and_recovers () =
   let b = bal 2 in
   Alcotest.(check (float 1e-9)) "fresh host carries no suspicion" 0.0
-    (Cloak.Balancer.suspicion b 0 ~now:0);
-  Cloak.Balancer.missed_heartbeat b 0;
+    (Harness.Balancer.suspicion b 0 ~now:0);
+  Harness.Balancer.missed_heartbeat b 0;
   Alcotest.(check bool) "one miss is below the default threshold" false
-    (Cloak.Balancer.suspect b 0 ~now:0);
-  check_state "still healthy" Cloak.Balancer.Healthy b 0;
-  Cloak.Balancer.missed_heartbeat b 0;
+    (Harness.Balancer.suspect b 0 ~now:0);
+  check_state "still healthy" Harness.Balancer.Healthy b 0;
+  Harness.Balancer.missed_heartbeat b 0;
   Alcotest.(check bool) "two misses cross it" true
-    (Cloak.Balancer.suspect b 0 ~now:0);
-  check_state "latched Suspect" Cloak.Balancer.Suspect b 0;
-  check_state "the peer is untouched" Cloak.Balancer.Healthy b 1;
+    (Harness.Balancer.suspect b 0 ~now:0);
+  check_state "latched Suspect" Harness.Balancer.Suspect b 0;
+  check_state "the peer is untouched" Harness.Balancer.Healthy b 1;
   (* a live beat clears the misses and recovers the state *)
-  Cloak.Balancer.heartbeat b 0 ~now:10;
-  check_state "heartbeat recovers Suspect" Cloak.Balancer.Healthy b 0;
+  Harness.Balancer.heartbeat b 0 ~now:10;
+  check_state "heartbeat recovers Suspect" Harness.Balancer.Healthy b 0;
   Alcotest.(check bool) "suspicion fell back under threshold" true
-    (Cloak.Balancer.suspicion b 0 ~now:10 < Cloak.Balancer.threshold)
+    (Harness.Balancer.suspicion b 0 ~now:10 < Harness.Balancer.threshold)
 
 let test_suspicion_overdue_term_capped () =
   let b = bal 1 in
-  Cloak.Balancer.heartbeat b 0 ~now:0;
-  Cloak.Balancer.heartbeat b 0 ~now:100;
+  Harness.Balancer.heartbeat b 0 ~now:0;
+  Harness.Balancer.heartbeat b 0 ~now:100;
   Alcotest.(check (float 1e-9)) "gap learned from the beats" 100.0
-    (Cloak.Balancer.mean_gap b 0);
+    (Harness.Balancer.mean_gap b 0);
   Alcotest.(check (float 1e-9)) "on-time: no overdue evidence" 0.0
-    (Cloak.Balancer.suspicion b 0 ~now:150);
-  let s = Cloak.Balancer.suspicion b 0 ~now:280 in
+    (Harness.Balancer.suspicion b 0 ~now:150);
+  let s = Harness.Balancer.suspicion b 0 ~now:280 in
   Alcotest.(check bool) "overdue accrues fractionally" true
     (s > 0.0 && s < 1.0);
   Alcotest.(check (float 1e-9))
     "a long silence is at most one beat of evidence" 1.0
-    (Cloak.Balancer.suspicion b 0 ~now:100_000)
+    (Harness.Balancer.suspicion b 0 ~now:100_000)
 
 let test_suspicion_error_term_bounded () =
   let b = bal 1 in
   for _ = 1 to 8 do
-    Cloak.Balancer.record_error b 0
+    Harness.Balancer.record_error b 0
   done;
   Alcotest.(check (float 1e-9)) "8 errors are half a unit" 0.5
-    (Cloak.Balancer.suspicion b 0 ~now:0);
+    (Harness.Balancer.suspicion b 0 ~now:0);
   for _ = 1 to 100 do
-    Cloak.Balancer.record_error b 0
+    Harness.Balancer.record_error b 0
   done;
   Alcotest.(check (float 1e-9)) "the error term saturates at one unit" 1.0
-    (Cloak.Balancer.suspicion b 0 ~now:0)
+    (Harness.Balancer.suspicion b 0 ~now:0)
 
 (* --- routing and the typed shed taxonomy --- *)
 
 let test_route_least_loaded_deterministic () =
   let b = bal 3 in
-  (match Cloak.Balancer.route b ~load:(Array.get [| 2; 0; 1 |]) with
+  (match Harness.Balancer.route b ~load:(Array.get [| 2; 0; 1 |]) with
   | Ok i -> Alcotest.(check int) "least-loaded wins" 1 i
   | Error _ -> Alcotest.fail "routable fleet shed a request");
-  match Cloak.Balancer.route b ~load:(Array.get [| 2; 1; 1 |]) with
+  match Harness.Balancer.route b ~load:(Array.get [| 2; 1; 1 |]) with
   | Ok i -> Alcotest.(check int) "lowest index breaks ties" 1 i
   | Error _ -> Alcotest.fail "routable fleet shed a request"
 
 let test_shed_taxonomy () =
   let b = bal 3 in
-  let full _ = Cloak.Balancer.queue_bound in
+  let full _ = Harness.Balancer.queue_bound in
   (* every routable host at its bound: Overload *)
-  (match Cloak.Balancer.route b ~load:full with
-  | Error Cloak.Balancer.Overload -> ()
+  (match Harness.Balancer.route b ~load:full with
+  | Error Harness.Balancer.Overload -> ()
   | Ok i -> Alcotest.failf "admitted beyond the bound at host %d" i
   | Error r ->
-      Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r));
+      Alcotest.failf "wrong shed: %s" (Harness.Balancer.shed_to_string r));
   (* a dead host is never polled, so its empty queue attracts nothing *)
-  Cloak.Balancer.mark_dead b 1 ~now:0;
+  Harness.Balancer.mark_dead b 1 ~now:0;
   let polled = ref [] in
   (match
-     Cloak.Balancer.route b ~load:(fun i ->
+     Harness.Balancer.route b ~load:(fun i ->
          polled := i :: !polled;
-         if i = 1 then 0 else Cloak.Balancer.queue_bound)
+         if i = 1 then 0 else Harness.Balancer.queue_bound)
    with
-  | Error Cloak.Balancer.Overload -> ()
+  | Error Harness.Balancer.Overload -> ()
   | Ok i -> Alcotest.failf "routed to or around a dead host (%d)" i
   | Error r ->
-      Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r));
+      Alcotest.failf "wrong shed: %s" (Harness.Balancer.shed_to_string r));
   Alcotest.(check (list int)) "only the live hosts polled" [ 2; 0 ] !polled;
   (* nothing routable at all *)
-  Cloak.Balancer.mark_dead b 0 ~now:0;
-  Cloak.Balancer.mark_dead b 2 ~now:0;
+  Harness.Balancer.mark_dead b 0 ~now:0;
+  Harness.Balancer.mark_dead b 2 ~now:0;
   match
-    Cloak.Balancer.route b ~load:(fun i ->
+    Harness.Balancer.route b ~load:(fun i ->
         Alcotest.failf "polled dead host %d" i)
   with
-  | Error Cloak.Balancer.No_capacity -> ()
+  | Error Harness.Balancer.No_capacity -> ()
   | Ok i -> Alcotest.failf "routed to a dead fleet (host %d)" i
-  | Error r -> Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r)
+  | Error r -> Alcotest.failf "wrong shed: %s" (Harness.Balancer.shed_to_string r)
 
 let test_reduced_service_halves_bound () =
   let b = bal 3 in
-  let half _ = Cloak.Balancer.queue_bound / 2 in
+  let half _ = Harness.Balancer.queue_bound / 2 in
   Alcotest.(check bool) "full fleet: full service" false
-    (Cloak.Balancer.reduced_service b);
-  (match Cloak.Balancer.route b ~load:half with
+    (Harness.Balancer.reduced_service b);
+  (match Harness.Balancer.route b ~load:half with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "a half-full queue must admit at full service");
-  Cloak.Balancer.mark_dead b 2 ~now:0;
+  Harness.Balancer.mark_dead b 2 ~now:0;
   Alcotest.(check bool) "losing a host flips reduced service" true
-    (Cloak.Balancer.reduced_service b);
-  Alcotest.(check int) "two hosts still serve" 2 (Cloak.Balancer.serving b);
-  match Cloak.Balancer.route b ~load:half with
-  | Error Cloak.Balancer.Overload -> ()
+    (Harness.Balancer.reduced_service b);
+  Alcotest.(check int) "two hosts still serve" 2 (Harness.Balancer.serving b);
+  match Harness.Balancer.route b ~load:half with
+  | Error Harness.Balancer.Overload -> ()
   | Ok i -> Alcotest.failf "host %d admitted past the halved bound" i
-  | Error r -> Alcotest.failf "wrong shed: %s" (Cloak.Balancer.shed_to_string r)
+  | Error r -> Alcotest.failf "wrong shed: %s" (Harness.Balancer.shed_to_string r)
 
 let test_rejoin_backoff () =
   let b = bal ~rejoin_backoff:10 2 in
-  Cloak.Balancer.mark_dead b 0 ~now:0;
-  Cloak.Balancer.tick b ~now:9;
-  check_state "backoff holds the corpse out" Cloak.Balancer.Dead b 0;
-  Cloak.Balancer.tick b ~now:10;
+  Harness.Balancer.mark_dead b 0 ~now:0;
+  Harness.Balancer.tick b ~now:9;
+  check_state "backoff holds the corpse out" Harness.Balancer.Dead b 0;
+  Harness.Balancer.tick b ~now:10;
   check_state "backoff expiry re-admits at reduced service"
-    Cloak.Balancer.Rejoining b 0;
+    Harness.Balancer.Rejoining b 0;
   Alcotest.(check int) "a rejoining host counts as serving" 2
-    (Cloak.Balancer.serving b);
-  Cloak.Balancer.tick b ~now:19;
-  check_state "full trust needs another interval" Cloak.Balancer.Rejoining b 0;
-  Cloak.Balancer.tick b ~now:20;
-  check_state "good behaviour earns Healthy back" Cloak.Balancer.Healthy b 0;
+    (Harness.Balancer.serving b);
+  Harness.Balancer.tick b ~now:19;
+  check_state "full trust needs another interval" Harness.Balancer.Rejoining b 0;
+  Harness.Balancer.tick b ~now:20;
+  check_state "good behaviour earns Healthy back" Harness.Balancer.Healthy b 0;
   (* backoff 0 disables re-admission outright *)
   let b0 = bal 2 in
-  Cloak.Balancer.mark_dead b0 1 ~now:0;
-  Cloak.Balancer.tick b0 ~now:1_000_000;
-  check_state "no backoff: a retired host stays Dead" Cloak.Balancer.Dead b0 1
+  Harness.Balancer.mark_dead b0 1 ~now:0;
+  Harness.Balancer.tick b0 ~now:1_000_000;
+  check_state "no backoff: a retired host stays Dead" Harness.Balancer.Dead b0 1
 
 (* --- the session key obeys scrub-before-free (satellite of the fleet
    failover path: every drain/rescue closes both endpoints) --- *)

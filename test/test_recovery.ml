@@ -351,8 +351,9 @@ let test_blockdev_double_free () =
 let secret = "journal-satellite-secret-page!!!"
 let app = Cloak.Context.app 1
 
-let shm_setup () =
+let shm_setup ?store () =
   let vmm = Cloak.Vmm.create () in
+  Option.iter (fun store -> ignore (Cloak.Vmm.attach_journal vmm ~store)) store;
   let pt = Page_table.create ~asid:1 in
   Cloak.Vmm.register_address_space vmm pt;
   for vpn = 0 to 3 do
@@ -398,6 +399,29 @@ let test_import_rejects_record_reordering () =
   (* sanity: the unmodified blob still imports *)
   ignore (Cloak.Vmm.import_metadata vmm (Cloak.Vmm.export_metadata vmm shm ~pages:4 ~logical_size:64))
 
+(* A same-seed VMM that re-attaches a journal takes on the shm metadata
+   generations and shm ids it records, not only its seal generations:
+   otherwise the older metadata blob would import as fresh, a rollback of
+   protected-file metadata across a reboot. *)
+let test_reattach_keeps_freshness () =
+  let store, _ = mem_store ~blocks:16 () in
+  let a, shm = shm_setup ~store () in
+  Cloak.Vmm.write a ~ctx:app ~vaddr:0 (Bytes.of_string secret);
+  let old_blob = Cloak.Vmm.export_metadata a shm ~pages:4 ~logical_size:64 in
+  ignore (Cloak.Vmm.export_metadata a shm ~pages:4 ~logical_size:64);
+  ignore (Cloak.Vmm.bump_seal_generation a ~tag:"anon:5");
+  ignore (Cloak.Vmm.bump_seal_generation a ~tag:"anon:5");
+  Alcotest.(check bool) "the exporting VMM refuses the older blob" true
+    (rejected a old_blob);
+  let b = Cloak.Vmm.create () in
+  ignore (Cloak.Vmm.attach_journal b ~store);
+  Alcotest.(check int) "seal generation inherited" 2
+    (Cloak.Vmm.seal_generation b ~tag:"anon:5");
+  Alcotest.(check string) "a fresh shm id, not a journaled one" "shm:2"
+    (Cloak.Resource.tag (Cloak.Vmm.fresh_shm b));
+  Alcotest.(check bool) "the re-attached VMM refuses the older blob" true
+    (rejected b old_blob)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -421,6 +445,8 @@ let () =
             test_journal_wrong_key_recovers_nothing;
           Alcotest.test_case "checkpoint carries the full state" `Quick
             test_journal_checkpoint_carries_full_state;
+          Alcotest.test_case "re-attach keeps metadata freshness" `Quick
+            test_reattach_keeps_freshness;
         ] );
       ( "crash-matrix",
         [

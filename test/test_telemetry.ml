@@ -1,184 +1,89 @@
-(* Fleet telemetry: the merge algebra (qcheck: associative, commutative,
-   percentile bounds survive merging), window bucketing (no sample ever
-   double-counted across a boundary), SLO burn-rate alerting (fires on a
-   seeded error burst, stays silent fault-free, hysteresis prevents
-   re-paging), causal stitching with critical-path extraction, and the
-   end-to-end fleet proof: disabling every registry changes no model
-   cycle, enabling them stitches a committed failover into one
-   cross-host trace. *)
+(* Fleet telemetry: window folds over the sample log (no sample ever
+   double-counted across a boundary, sums and histograms agree), the
+   canonical span order, SLO burn-rate alerting (fires on a seeded error
+   burst, stays silent fault-free, hysteresis prevents re-paging), causal
+   stitching with critical-path extraction, and the end-to-end fleet
+   proof: disabling the registry changes no model cycle, enabling it
+   stitches a committed failover into one cross-host trace. *)
 
 let quick name f = Alcotest.test_case name `Quick f
 
-(* Histograms expose only accessors, so equality is over everything
-   observable: counts, totals, extrema and the full bucket list. *)
-let hist_eq a b =
-  Trace.Hist.count a = Trace.Hist.count b
-  && Trace.Hist.total a = Trace.Hist.total b
-  && Trace.Hist.min_value a = Trace.Hist.min_value b
-  && Trace.Hist.max_value a = Trace.Hist.max_value b
-  && Trace.Hist.buckets a = Trace.Hist.buckets b
+(* --- window folds (qcheck) --- *)
 
-let hist_of xs =
-  let h = Trace.Hist.create () in
-  List.iter (Trace.Hist.add h) xs;
-  h
-
-(* --- merge algebra (qcheck) --- *)
-
-let values = QCheck.(list_of_size Gen.(int_range 0 60) (int_range 0 1_000_000))
-
-let prop_hist_merge_associative =
-  QCheck.Test.make ~name:"Hist.merge is associative" ~count:200
-    QCheck.(triple values values values)
-    (fun (xs, ys, zs) ->
-      let a = hist_of xs and b = hist_of ys and c = hist_of zs in
-      hist_eq
-        (Trace.Hist.merge (Trace.Hist.merge a b) c)
-        (Trace.Hist.merge a (Trace.Hist.merge b c)))
-
-let prop_hist_merge_commutative =
-  QCheck.Test.make ~name:"Hist.merge is commutative" ~count:200
-    QCheck.(pair values values)
-    (fun (xs, ys) ->
-      let a = hist_of xs and b = hist_of ys in
-      hist_eq (Trace.Hist.merge a b) (Trace.Hist.merge b a))
-
-(* Splitting a sample across shards and merging must preserve the
-   percentile bracketing guarantee of the combined sample. *)
-let prop_percentile_bounds_merge =
-  QCheck.Test.make
-    ~name:"percentile bounds bracket the order statistic across a merge"
-    ~count:200
-    QCheck.(pair (list_of_size Gen.(int_range 1 200) (int_range 0 1_000_000))
-              (int_range 0 1_000_000))
-    (fun (xs, extra) ->
-      let xs = extra :: xs in
-      let shards = [| Trace.Hist.create (); Trace.Hist.create (); Trace.Hist.create () |] in
-      List.iteri (fun i v -> Trace.Hist.add shards.(i mod 3) v) xs;
-      let merged =
-        Trace.Hist.merge shards.(2) (Trace.Hist.merge shards.(0) shards.(1))
-      in
-      let sorted = List.sort compare xs in
-      List.for_all
-        (fun p ->
-          let k = max 1 (int_of_float (ceil (p *. float_of_int (List.length xs)))) in
-          let v = List.nth sorted (k - 1) in
-          let lo, hi = Trace.Hist.percentile_bounds merged p in
-          lo <= v && v <= hi)
-        [ 0.5; 0.95; 0.99; 1.0 ])
-
-(* Every sample lands in exactly one window: per-window totals always
-   re-sum to the overall total, and each window's total matches a direct
-   recount of the samples that map to it. *)
+(* Every sample lands in exactly one window: per-window sums always
+   re-sum to the overall total, each window's sum matches a direct
+   recount of the samples that map to it, and the histogram fold sees
+   the same samples window by window. *)
 let prop_window_no_double_count =
   QCheck.Test.make ~name:"window bucketing never double-counts" ~count:200
     QCheck.(pair (int_range 1 1_000)
               (list_of_size Gen.(int_range 0 80)
                  (pair (int_range 0 10_000) (int_range 1 5))))
     (fun (width, samples) ->
-      let t = Telemetry.create ~window_cycles:width () in
-      List.iter (fun (at, by) -> Telemetry.incr t ~by ~at "reqs") samples;
-      let windows = Telemetry.counter_windows t "reqs" in
+      let t = Telemetry.create () in
+      List.iter (fun (at, v) -> Telemetry.sample t ~at "reqs" v) samples;
+      Telemetry.sample t ~at:0 "other" 1_000;
+      let windows = Telemetry.window_sums t ~width "reqs" in
+      let hists = Telemetry.window_hists t ~width "reqs" in
       let total = List.fold_left (fun a (_, n) -> a + n) 0 windows in
-      total = Telemetry.counter_total t "reqs"
-      && total = List.fold_left (fun a (_, by) -> a + by) 0 samples
+      Telemetry.samples t = List.length samples + 1
+      && total = List.fold_left (fun a (_, v) -> a + v) 0 samples
       && List.for_all
            (fun (w, n) ->
              n
              = List.fold_left
-                 (fun a (at, by) -> if at / width = w then a + by else a)
+                 (fun a (at, v) -> if at / width = w then a + v else a)
                  0 samples)
            windows
-      && List.for_all (fun (at, _) ->
-             List.mem_assoc (at / width) windows)
-           samples)
+      && List.for_all (fun (at, _) -> List.mem_assoc (at / width) windows) samples
+      && List.map fst hists = List.map fst windows
+      && List.for_all2
+           (fun (_, n) (_, h) ->
+             Trace.Hist.total h = n && Trace.Hist.count h > 0)
+           windows hists)
 
-(* Registry-level merge: shard the same sample stream across three
-   registries by host, merge in every order, and compare everything
-   observable. *)
-let prop_registry_merge_orders_agree =
-  QCheck.Test.make ~name:"registry merge is order-insensitive" ~count:100
-    QCheck.(list_of_size Gen.(int_range 0 60)
-              (triple (int_range 0 2) (int_range 0 50_000) (int_range 1 4)))
-    (fun samples ->
-      let shard () = Telemetry.create ~window_cycles:1_000 () in
-      let a = shard () and b = shard () and c = shard () in
-      let regs = [| a; b; c |] in
-      List.iter
-        (fun (host, at, by) ->
-          let t = regs.(host) in
-          Telemetry.incr t ~host ~by ~at "reqs";
-          Telemetry.gauge t ~host ~at "depth" by;
-          Telemetry.observe t ~host ~at "lat" (at mod 97))
-        samples;
-      let m1 = Telemetry.merge (Telemetry.merge a b) c in
-      let m2 = Telemetry.merge c (Telemetry.merge b a) in
-      let m3 = Telemetry.merge_all [ b; c; a ] in
-      let view t =
-        ( Telemetry.samples t,
-          Telemetry.names t,
-          Telemetry.counter_windows_all t "reqs",
-          List.map
-            (fun h ->
-              (h, Telemetry.counter_windows t ~host:h "reqs",
-               Telemetry.gauge_windows t ~host:h "depth"))
-            (Telemetry.hosts t "reqs"),
-          Telemetry.spans t )
+(* Spans written in any order read back in one canonical order, which is
+   what lets one registry hold every host's spans. *)
+let prop_span_order_canonical =
+  QCheck.Test.make ~name:"span order is canonical" ~count:100
+    QCheck.(list_of_size Gen.(int_range 0 40)
+              (quad (int_range 1 4) (int_range (-1) 2) (int_range 0 6)
+                 (int_range 0 1_000)))
+    (fun spans ->
+      let record order =
+        let t = Telemetry.create () in
+        List.iter
+          (fun (tid, host, seq, t0) ->
+            Telemetry.span t ~host ~tid ~hop:"hop" ~seq ~t0 ~t1:(t0 + 10))
+          order;
+        Telemetry.spans t
       in
-      let hists_agree x y =
-        List.for_all2
-          (fun (w1, h1) (w2, h2) -> w1 = w2 && hist_eq h1 h2)
-          (Telemetry.hist_windows_all x "lat")
-          (Telemetry.hist_windows_all y "lat")
-      in
-      view m1 = view m2 && view m1 = view m3 && hists_agree m1 m2
-      && hists_agree m1 m3)
+      record spans = record (List.rev spans))
 
 (* --- registry semantics --- *)
 
 let test_null_registry () =
   let t = Telemetry.null in
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
-  Telemetry.incr t ~at:5 "c";
-  Telemetry.gauge t ~at:5 "g" 3;
-  Telemetry.observe t ~at:5 "h" 9;
+  Telemetry.sample t ~at:5 "c" 1;
   Telemetry.span t ~tid:1 ~hop:"x" ~seq:0 ~t0:0 ~t1:1;
   Alcotest.(check int) "no samples" 0 (Telemetry.samples t);
   Alcotest.(check int) "no spans" 0 (Telemetry.span_count t);
-  Alcotest.(check (list string)) "no names" [] (Telemetry.names t);
-  (* merging the null registry is the identity *)
-  let live = Telemetry.create () in
-  Telemetry.incr live ~at:10 "c";
-  let m = Telemetry.merge Telemetry.null live in
-  Alcotest.(check int) "merge null = copy" 1 (Telemetry.counter_total m "c")
-
-let test_kind_mismatch_rejected () =
-  let t = Telemetry.create () in
-  Telemetry.incr t ~at:0 "metric";
-  match Telemetry.observe t ~at:1 "metric" 5 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "a counter accepted a histogram observation"
-
-let test_gauge_last_write_wins () =
-  let t = Telemetry.create ~window_cycles:100 () in
-  Telemetry.gauge t ~at:10 "depth" 3;
-  Telemetry.gauge t ~at:20 "depth" 7;
-  Telemetry.gauge t ~at:15 "depth" 5;
-  (* a stale stamp never overwrites a newer one *)
-  Alcotest.(check (option (pair int int))) "latest stamp wins"
-    (Some (20, 7)) (Telemetry.gauge_last t "depth");
-  Alcotest.(check (list (pair int (pair int (pair int int))))) "window min/max"
-    [ (0, (7, (3, 7))) ]
-    (List.map (fun (w, l, mn, mx) -> (w, (l, (mn, mx))))
-       (Telemetry.gauge_windows t "depth"))
+  Alcotest.(check (list (pair int int))) "no windows" []
+    (Telemetry.window_sums t ~width:10 "c");
+  Alcotest.(check bool) "a live registry is enabled" true
+    (Telemetry.enabled (Telemetry.create ()))
 
 let test_window_boundary () =
-  let t = Telemetry.create ~window_cycles:100 () in
-  Telemetry.incr t ~at:99 "c";
-  Telemetry.incr t ~at:100 "c";
+  let t = Telemetry.create () in
+  Telemetry.sample t ~at:99 "c" 1;
+  Telemetry.sample t ~at:100 "c" 1;
   Alcotest.(check (list (pair int int))) "adjacent stamps, adjacent windows"
     [ (0, 1); (1, 1) ]
-    (Telemetry.counter_windows t "c")
+    (Telemetry.window_sums t ~width:100 "c");
+  Alcotest.(check (list (pair int int))) "the width is the reader's"
+    [ (0, 2) ]
+    (Telemetry.window_sums t ~width:1_000 "c")
 
 (* --- SLO burn-rate monitor --- *)
 
@@ -186,7 +91,7 @@ let windows n f = List.init n (fun w -> (w, f w))
 
 let test_slo_silent_when_good () =
   let total = windows 12 (fun _ -> 100) in
-  let ev = Telemetry.Slo.evaluate ~good:total ~total () in
+  let ev = Telemetry.Slo.evaluate ~good:total ~total in
   Alcotest.(check int) "no fast alert" 0 ev.Telemetry.Slo.ev_fast_fires;
   Alcotest.(check int) "no slow alert" 0 ev.Telemetry.Slo.ev_slow_fires;
   Alcotest.(check bool) "no alerts" true (ev.Telemetry.Slo.ev_alerts = [])
@@ -197,7 +102,7 @@ let test_slo_burst_pages_once () =
      remains above threshold * hysteresis, and never re-pages *)
   let total = windows 12 (fun _ -> 100) in
   let good = windows 12 (fun w -> if w = 3 || w = 4 then 0 else 100) in
-  let ev = Telemetry.Slo.evaluate ~good ~total () in
+  let ev = Telemetry.Slo.evaluate ~good ~total in
   Alcotest.(check int) "one fast page" 1 ev.Telemetry.Slo.ev_fast_fires;
   (match ev.Telemetry.Slo.ev_alerts with
   | a :: _ ->
@@ -213,7 +118,7 @@ let test_slo_empty_windows_skipped () =
   (* windows with no traffic contribute nothing to the lookback *)
   let total = [ (0, 100); (5, 100) ] in
   let good = [ (0, 100); (5, 100) ] in
-  let ev = Telemetry.Slo.evaluate ~good ~total () in
+  let ev = Telemetry.Slo.evaluate ~good ~total in
   Alcotest.(check int) "no alert over a gap" 0
     (ev.Telemetry.Slo.ev_fast_fires + ev.Telemetry.Slo.ev_slow_fires)
 
@@ -291,13 +196,6 @@ let test_fleet_zero_overhead_and_stitch () =
 let () =
   Alcotest.run "telemetry"
     [
-      ( "merge algebra",
-        [
-          QCheck_alcotest.to_alcotest prop_hist_merge_associative;
-          QCheck_alcotest.to_alcotest prop_hist_merge_commutative;
-          QCheck_alcotest.to_alcotest prop_percentile_bounds_merge;
-          QCheck_alcotest.to_alcotest prop_registry_merge_orders_agree;
-        ] );
       ( "windows",
         [
           QCheck_alcotest.to_alcotest prop_window_no_double_count;
@@ -306,8 +204,7 @@ let () =
       ( "registry",
         [
           quick "null sink" test_null_registry;
-          quick "kind mismatch" test_kind_mismatch_rejected;
-          quick "gauge last-write-wins" test_gauge_last_write_wins;
+          QCheck_alcotest.to_alcotest prop_span_order_canonical;
         ] );
       ( "slo",
         [

@@ -85,7 +85,8 @@ let test_span_pairing () =
   Trace.span_enter t Trace.Hypercall;
   now := 137;
   Trace.span_exit t Trace.Hypercall;
-  (match Trace.histogram t Trace.Hypercall with
+  let histogram kind = List.assoc_opt kind (Trace.span_classes t) in
+  (match histogram Trace.Hypercall with
   | None -> Alcotest.fail "no histogram after a completed span"
   | Some h ->
       Alcotest.(check int) "one span" 1 (Trace.Hist.count h);
@@ -94,11 +95,11 @@ let test_span_pairing () =
   (try Trace.with_span t Trace.Syscall (fun () -> failwith "boom")
    with Failure _ -> ());
   Alcotest.(check bool) "aborted span records no latency" true
-    (Trace.histogram t Trace.Syscall = None);
+    (histogram Trace.Syscall = None);
   (* a stray exit (no matching enter) records the event but no latency *)
   Trace.span_exit t Trace.Disk_read;
   Alcotest.(check bool) "stray exit records no latency" true
-    (Trace.histogram t Trace.Disk_read = None)
+    (histogram Trace.Disk_read = None)
 
 (* --- the null sink is free --- *)
 
@@ -191,7 +192,11 @@ let test_check_skips_truncated_ring () =
   Trace.span_enter t ~site:"shm:1" ~page:0 Trace.Page_decrypt;
   Trace.span_exit t ~site:"shm:1" ~page:0 ~pid:4 ~aux:1 Trace.Page_decrypt;
   Alcotest.(check bool) "ring truncated" true (Trace.Check.truncated t);
-  Alcotest.(check (list string)) "verdict skipped" [] (Trace.Check.verdict t)
+  Alcotest.(check (list string)) "verdict skipped" [] (Trace.Check.verdict t);
+  (* the span table folds the same stream, so it refuses too *)
+  Alcotest.(check string) "span table unavailable"
+    "span classes unavailable: the ring dropped 4 events"
+    (Format.asprintf "%a" Trace.pp_decomposition t)
 
 (* --- real runs stay green end to end --- *)
 
