@@ -1,34 +1,31 @@
-(* E1, E3-E8: the experiment harness that regenerates each table/figure of
-   the reproduction (E2 lives in Micro). All numbers are deterministic model
-   cycles; the paper's claims are about ratios, which is what each table
-   prints. *)
+(* E1, E3-E10: the experiment harness that regenerates each table/figure of
+   the reproduction (E2 lives in Micro). Every row runs one program through
+   Harness.time_program (a timed section inside the process) or, for
+   whole-run rows, Harness.run_program/run under Harness.checked. All
+   numbers are deterministic model cycles; the paper's claims are about
+   ratios, which is what each table prints. *)
 
 open Machine
 open Guest
 
 (* --- E1: compute-bound kernels --- *)
 
-let run_kernel ~cloaked (k : Workloads.Spec.kernel) =
+(* The model cycles of the kernel call alone, and its checksum. *)
+let run_kernel ?kconfig ~scale ~cloaked (k : Workloads.Spec.kernel) =
   let checksum = ref 0 in
-  let cycles = ref 0 in
-  let r =
-    Harness.run_program ~cloaked (fun env ->
-        let u = Uapi.of_env env in
-        let vmm = (Uapi.env u).Abi.vmm in
-        let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-        checksum := k.Workloads.Spec.run u ~scale:Workloads.Spec.default_scale;
-        cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
+  let cycles, _ =
+    Harness.time_program ?kconfig ~cloaked ~name:("kernel " ^ k.Workloads.Spec.name)
+      (fun u () -> checksum := k.Workloads.Spec.run u ~scale)
   in
-  if not (Harness.all_exited_zero r) then
-    invalid_arg (Printf.sprintf "E1 kernel %s failed" k.Workloads.Spec.name);
-  (!cycles, !checksum)
+  (cycles, !checksum)
 
 let e1 () =
   let rows =
     List.map
       (fun k ->
-        let native_cycles, native_sum = run_kernel ~cloaked:false k in
-        let cloaked_cycles, cloaked_sum = run_kernel ~cloaked:true k in
+        let scale = Workloads.Spec.default_scale in
+        let native_cycles, native_sum = run_kernel ~scale ~cloaked:false k in
+        let cloaked_cycles, cloaked_sum = run_kernel ~scale ~cloaked:true k in
         if native_sum <> cloaked_sum then
           invalid_arg
             (Printf.sprintf "E1 kernel %s: cloaked checksum diverges" k.Workloads.Spec.name);
@@ -47,98 +44,40 @@ let e1 () =
 
 (* --- E3: application workloads --- *)
 
-let run_webserver ~cloaked =
-  let cfg = Workloads.Webserver.default in
-  let r =
-    Harness.run
-      ~spawn:(fun k ->
-        (* only the server is the protected application; the client plays
-           the network load generator and stays uncloaked, as in the paper *)
-        let main env =
-          let u = Uapi.of_env env in
-          Workloads.Webserver.populate u cfg;
-          let req_r, req_w = Uapi.pipe u in
-          let resp_r, resp_w = Uapi.pipe u in
-          let _server =
-            Uapi.fork u ~child:(fun senv ->
-                let su = Uapi.of_env senv in
-                Uapi.close su req_w;
-                Uapi.close su resp_r;
-                let image =
-                  Workloads.Webserver.server cfg ~use_shim:true ~request_fd:req_r
-                    ~response_fd:resp_w
-                in
-                if cloaked then Uapi.exec_cloaked su image else Uapi.exec su image)
-          in
-          Uapi.close u req_r;
-          Uapi.close u resp_w;
-          Workloads.Webserver.client cfg ~request_fd:req_w ~response_fd:resp_r env
-        in
-        [ Kernel.spawn k main ])
-      ()
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E3 webserver failed";
-  (r, cfg.Workloads.Webserver.requests)
-
-let run_kvstore ~cloaked =
-  let cfg = Workloads.Kvstore.default in
-  let r =
-    Harness.run
-      ~spawn:(fun k ->
-        let main env =
-          let u = Uapi.of_env env in
-          let req_r, req_w = Uapi.pipe u in
-          let resp_r, resp_w = Uapi.pipe u in
-          let _server =
-            Uapi.fork u ~child:(fun senv ->
-                let su = Uapi.of_env senv in
-                Uapi.close su req_w;
-                Uapi.close su resp_r;
-                let image =
-                  Workloads.Kvstore.server cfg ~use_shim:true ~request_fd:req_r
-                    ~response_fd:resp_w
-                in
-                if cloaked then Uapi.exec_cloaked su image else Uapi.exec su image)
-          in
-          Uapi.close u req_r;
-          Uapi.close u resp_w;
-          Workloads.Kvstore.client cfg ~request_fd:req_w ~response_fd:resp_r env
-        in
-        [ Kernel.spawn k main ])
-      ()
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E3 kvstore failed";
-  (r, cfg.Workloads.Kvstore.operations)
-
-let run_fileio ~cloaked =
-  let cfg = Workloads.Fileio.default in
-  let r = Harness.run_program ~cloaked (Workloads.Fileio.run cfg ~use_shim:true) in
-  if not (Harness.all_exited_zero r) then invalid_arg "E3 fileio failed";
-  (r, Workloads.Fileio.ops_done cfg)
-
-let run_build ~cloaked =
-  let cfg = Workloads.Buildsim.default in
-  let r = Harness.run_program (Workloads.Buildsim.driver cfg ~cloak_workers:cloaked) in
-  if not (Harness.all_exited_zero r) then invalid_arg "E3 build failed";
-  (r, cfg.Workloads.Buildsim.modules)
-
 let throughput ~units cycles = 1e9 *. float_of_int units /. float_of_int cycles
 
 let e3_rows () =
+  let web = Workloads.Webserver.default and kv = Workloads.Kvstore.default in
+  let fio = Workloads.Fileio.default and build = Workloads.Buildsim.default in
+  (* only the webserver's and the kvstore's server is the protected
+     application; their client plays the network load generator and stays
+     uncloaked, as in the paper *)
   let apps =
     [
-      ("webserver (req/Gcy)", fun ~cloaked -> run_webserver ~cloaked);
-      ("kvstore (ops/Gcy)", fun ~cloaked -> run_kvstore ~cloaked);
-      ("fileio (ops/Gcy)", fun ~cloaked -> run_fileio ~cloaked);
-      ("build (modules/Gcy)", fun ~cloaked -> run_build ~cloaked);
+      ( "webserver (req/Gcy)",
+        web.Workloads.Webserver.requests,
+        fun cloaked ->
+          Harness.run_program (Workloads.Webserver.run web ~cloak_server:cloaked) );
+      ( "kvstore (ops/Gcy)",
+        kv.Workloads.Kvstore.operations,
+        fun cloaked ->
+          Harness.run_program (Workloads.Kvstore.run kv ~cloak_server:cloaked) );
+      ( "fileio (ops/Gcy)",
+        Workloads.Fileio.ops_done fio,
+        fun cloaked ->
+          Harness.run_program ~cloaked (Workloads.Fileio.run fio ~use_shim:true) );
+      ( "build (modules/Gcy)",
+        build.Workloads.Buildsim.modules,
+        fun cloaked ->
+          Harness.run_program (Workloads.Buildsim.driver build ~cloak_workers:cloaked) );
     ]
   in
   List.map
-    (fun (name, f) ->
-      let rn, un = f ~cloaked:false in
-      let rc, uc = f ~cloaked:true in
-      let tn = throughput ~units:un rn.Harness.cycles in
-      let tc = throughput ~units:uc rc.Harness.cycles in
+    (fun (name, units, run) ->
+      let rn = Harness.checked ~name (run false) in
+      let rc = Harness.checked ~name (run true) in
+      let tn = throughput ~units rn.Harness.cycles in
+      let tc = throughput ~units rc.Harness.cycles in
       ( [
           name;
           Printf.sprintf "%.1f" tn;
@@ -161,25 +100,19 @@ let e3 () =
    memory in and out continuously and every eviction/refault shows up as
    page crypto. *)
 let run_swapstress () =
-  let kconfig = { Kernel.default_config with guest_pages = 128 } in
-  let r =
-    Harness.run ~kconfig
-      ~spawn:(fun k ->
-        [
-          Kernel.spawn k ~cloaked:true (fun env ->
-              let u = Uapi.of_env env in
-              let pages = 192 in
-              let base = Uapi.malloc u (pages * Addr.page_size) in
-              for pass = 1 to 3 do
-                for p = 0 to pages - 1 do
-                  Uapi.store_byte u ~vaddr:(base + (p * Addr.page_size)) (pass + p)
-                done
-              done);
-        ])
-      ()
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E4 swapstress failed";
-  r
+  let pages = 192 in
+  Harness.checked ~name:"swap-stress"
+    (Harness.run_program
+       ~kconfig:{ Kernel.default_config with guest_pages = 128 }
+       ~cloaked:true
+       (fun env ->
+         let u = Uapi.of_env env in
+         let base = Uapi.malloc u (pages * Addr.page_size) in
+         for pass = 1 to 3 do
+           for p = 0 to pages - 1 do
+             Uapi.store_byte u ~vaddr:(base + (p * Addr.page_size)) (pass + p)
+           done
+         done))
 
 (* --- E4: overhead decomposition of the cloaked E3 runs --- *)
 
@@ -234,38 +167,39 @@ let e5 () =
 
 (* --- E6: multi-shadowing vs single-shadow context switching --- *)
 
-let e6_run ~multi_shadow ~procs =
-  let vconfig = { Cloak.Vmm.default_config with multi_shadow } in
-  let rounds = 30 in
-  let pages = 64 in
-  let r =
-    Harness.run ~vconfig
-      ~spawn:(fun k ->
-        List.init procs (fun _ ->
-            Kernel.spawn k ~cloaked:true (fun env ->
-                let u = Uapi.of_env env in
-                let base = Uapi.malloc u (pages * Addr.page_size) in
-                (* warm the working set *)
-                for p = 0 to pages - 1 do
-                  Uapi.store_byte u ~vaddr:(base + (p * Addr.page_size)) p
-                done;
-                for _ = 1 to rounds do
-                  Uapi.touch u ~access:Fault.Read ~vaddr:base
-                    ~len:(pages * Addr.page_size);
-                  Uapi.yield u
-                done)))
-      ()
+(* [procs] cloaked processes, each warming a 64-page working set and then
+   touching it between yields for 30 rounds. Returns the cycles of one
+   slice (one process's turn between yields) and the run's counters. *)
+let slices vconfig ~procs =
+  let rounds = 30 and pages = 64 in
+  let slice env =
+    let u = Uapi.of_env env in
+    let base = Uapi.malloc u (pages * Addr.page_size) in
+    for p = 0 to pages - 1 do
+      Uapi.store_byte u ~vaddr:(base + (p * Addr.page_size)) p
+    done;
+    for _ = 1 to rounds do
+      Uapi.touch u ~access:Fault.Read ~vaddr:base ~len:(pages * Addr.page_size);
+      Uapi.yield u
+    done
   in
-  if not (Harness.all_exited_zero r) then invalid_arg "E6 run failed";
-  (* one slice = one process's turn between yields *)
-  r.cycles / (rounds * procs)
+  let r =
+    Harness.checked ~name:"slices"
+      (Harness.run ~vconfig
+         ~spawn:(fun k -> List.init procs (fun _ -> Kernel.spawn k ~cloaked:true slice))
+         ())
+  in
+  (r.cycles / (rounds * procs), r.counters)
 
 let e6 () =
   let rows =
     List.map
       (fun procs ->
-        let multi = e6_run ~multi_shadow:true ~procs in
-        let single = e6_run ~multi_shadow:false ~procs in
+        let per_slice multi_shadow =
+          fst (slices { Cloak.Vmm.default_config with multi_shadow } ~procs)
+        in
+        let multi = per_slice true in
+        let single = per_slice false in
         [
           string_of_int procs;
           string_of_int multi;
@@ -283,69 +217,33 @@ let e6 () =
 
 let stream_bytes = 128 * 1024
 
-let e7_naive chunk =
-  (* write-only: without the shim, reads into cloaked buffers are fatal by
-     design (see the shim tests), so the naive design can only stream out *)
-  let cycles = ref 0 in
-  let r =
-    Harness.run_program ~cloaked:true (fun env ->
-        let u = Uapi.of_env env in
-        let fd = Uapi.openf u "/out" [ Abi.O_CREAT; Abi.O_RDWR ] in
-        let buf = Uapi.malloc u chunk in
-        let vmm = (Uapi.env u).Abi.vmm in
-        let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-        let sent = ref 0 in
-        while !sent < stream_bytes do
-          Uapi.store u ~vaddr:buf (Bytes.make chunk 'n');
-          Uapi.write_exact u ~fd ~vaddr:buf ~len:chunk;
-          sent := !sent + chunk
-        done;
-        cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E7 naive failed";
-  !cycles
-
-let e7_marshal chunk =
-  let cycles = ref 0 in
-  let r =
-    Harness.run_program ~cloaked:true (fun env ->
-        let u = Uapi.of_env env in
-        ignore (Oshim.Shim.install u);
-        let fd = Uapi.openf u "/out" [ Abi.O_CREAT; Abi.O_RDWR ] in
-        let buf = Uapi.malloc u chunk in
-        let vmm = (Uapi.env u).Abi.vmm in
-        let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-        let sent = ref 0 in
-        while !sent < stream_bytes do
-          Uapi.store u ~vaddr:buf (Bytes.make chunk 'm');
-          Uapi.write_exact u ~fd ~vaddr:buf ~len:chunk;
-          sent := !sent + chunk
-        done;
-        cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E7 marshal failed";
-  !cycles
+(* Stream out of a cloaked buffer with write(), through the shim's bounce
+   buffer when [shim]. Write-only: without the shim, reads into cloaked
+   buffers are fatal by design (see the shim tests), so the naive design
+   can only stream out. *)
+let e7_stream ~shim chunk =
+  fst
+    (Harness.time_program ~cloaked:true ~name:"E7 stream" (fun u ->
+         if shim then ignore (Oshim.Shim.install u);
+         let fd = Uapi.openf u "/out" [ Abi.O_CREAT; Abi.O_RDWR ] in
+         let buf = Uapi.malloc u chunk in
+         fun () ->
+           for _ = 1 to stream_bytes / chunk do
+             Uapi.store u ~vaddr:buf (Bytes.make chunk 's');
+             Uapi.write_exact u ~fd ~vaddr:buf ~len:chunk
+           done))
 
 let e7_mapped chunk =
-  let cycles = ref 0 in
-  let r =
-    Harness.run_program ~cloaked:true (fun env ->
-        let u = Uapi.of_env env in
-        let shim = Oshim.Shim.install u in
-        let pages = (stream_bytes + Addr.page_size - 1) / Addr.page_size in
-        let f = Oshim.Shim_io.create shim ~path:"/out" ~pages in
-        let vmm = (Uapi.env u).Abi.vmm in
-        let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-        let sent = ref 0 in
-        while !sent < stream_bytes do
-          Oshim.Shim_io.write shim f ~pos:!sent (Bytes.make chunk 'M');
-          sent := !sent + chunk
-        done;
-        Oshim.Shim_io.save shim f;
-        cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0)
-  in
-  if not (Harness.all_exited_zero r) then invalid_arg "E7 mapped failed";
-  !cycles
+  fst
+    (Harness.time_program ~cloaked:true ~name:"E7 mapped" (fun u ->
+         let shim = Oshim.Shim.install u in
+         let pages = stream_bytes / Addr.page_size in
+         let f = Oshim.Shim_io.create shim ~path:"/out" ~pages in
+         fun () ->
+           for i = 0 to (stream_bytes / chunk) - 1 do
+             Oshim.Shim_io.write shim f ~pos:(i * chunk) (Bytes.make chunk 'M')
+           done;
+           Oshim.Shim_io.save shim f))
 
 let e7 () =
   let mb_per_gcy cycles =
@@ -354,8 +252,8 @@ let e7 () =
   let rows =
     List.map
       (fun chunk ->
-        let naive = e7_naive chunk in
-        let marshal = e7_marshal chunk in
+        let naive = e7_stream ~shim:false chunk in
+        let marshal = e7_stream ~shim:true chunk in
         let mapped = e7_mapped chunk in
         [
           string_of_int chunk;
@@ -398,34 +296,16 @@ let e8_model () =
    should fall roughly linearly as the quantum grows. *)
 let e9_quantum () =
   let kernel = Workloads.Spec.find "bitops" in
-  let overhead quantum =
-    let kconfig = { Kernel.default_config with quantum } in
-    let run ~cloaked =
-      let cycles = ref 0 in
-      let r =
-        Harness.run ~kconfig
-          ~spawn:(fun k ->
-            [
-              Kernel.spawn k ~cloaked (fun env ->
-                  let u = Uapi.of_env env in
-                  let vmm = (Uapi.env u).Abi.vmm in
-                  let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-                  ignore (kernel.Workloads.Spec.run u ~scale:1);
-                  cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0);
-            ])
-          ()
-      in
-      if not (Harness.all_exited_zero r) then invalid_arg "E9 run failed";
-      !cycles
-    in
-    let native = run ~cloaked:false in
-    let cloaked = run ~cloaked:true in
-    (native, cloaked)
-  in
   let rows =
     List.map
       (fun quantum ->
-        let native, cloaked = overhead quantum in
+        let run cloaked =
+          fst
+            (run_kernel ~kconfig:{ Kernel.default_config with quantum } ~scale:1 ~cloaked
+               kernel)
+        in
+        let native = run false in
+        let cloaked = run true in
         [
           string_of_int quantum;
           Harness.Table.cycles native;
@@ -443,34 +323,12 @@ let e9_quantum () =
    capacity still bounds the fast path; sweep TLB size under the E6
    workload shape. *)
 let e9_tlb () =
-  let run ~tlb_slots =
-    let vconfig = { Cloak.Vmm.default_config with tlb_slots } in
-    let rounds = 30 and pages = 64 and procs = 4 in
-    let r =
-      Harness.run ~vconfig
-        ~spawn:(fun k ->
-          List.init procs (fun _ ->
-              Kernel.spawn k ~cloaked:true (fun env ->
-                  let u = Uapi.of_env env in
-                  let base = Uapi.malloc u (pages * Addr.page_size) in
-                  for p = 0 to pages - 1 do
-                    Uapi.store_byte u ~vaddr:(base + (p * Addr.page_size)) p
-                  done;
-                  for _ = 1 to rounds do
-                    Uapi.touch u ~access:Fault.Read ~vaddr:base
-                      ~len:(pages * Addr.page_size);
-                    Uapi.yield u
-                  done)))
-        ()
-    in
-    if not (Harness.all_exited_zero r) then invalid_arg "E9 tlb run failed";
-    (r.cycles / (rounds * procs), r.counters.Counters.tlb_misses)
-  in
   let rows =
     List.map
-      (fun slots ->
-        let per_slice, misses = run ~tlb_slots:slots in
-        [ string_of_int slots; string_of_int per_slice; string_of_int misses ])
+      (fun tlb_slots ->
+        let per_slice, c = slices { Cloak.Vmm.default_config with tlb_slots } ~procs:4 in
+        [ string_of_int tlb_slots; string_of_int per_slice;
+          string_of_int c.Counters.tlb_misses ])
       [ 64; 128; 256; 512; 1024 ]
   in
   Harness.Table.print ~title:"E9b: TLB size vs per-slice cost (4 cloaked procs, 64-page sets)"
@@ -489,35 +347,25 @@ let e9 () =
    write() syscall from the buffer, no shim). With the optimization,
    every re-encryption after the first is deterministic and MAC-free. *)
 let e10_run ~clean_reencrypt =
-  let vconfig = { Cloak.Vmm.default_config with clean_reencrypt } in
-  let pages = 8 in
-  let rounds = 20 in
-  let cycles = ref 0 in
-  let r =
-    Harness.run ~vconfig
-      ~spawn:(fun k ->
-        [
-          Kernel.spawn k ~cloaked:true (fun env ->
-              let u = Uapi.of_env env in
-              let fd = Uapi.openf u "/out" [ Abi.O_CREAT; Abi.O_RDWR ] in
-              let len = pages * Addr.page_size in
-              let buf = Uapi.malloc u len in
-              Uapi.store u ~vaddr:buf (Bytes.make len 'r');
-              let vmm = (Uapi.env u).Abi.vmm in
-              let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-              for _ = 1 to rounds do
-                (* the app scans its data read-only... *)
-                Uapi.touch u ~access:Fault.Read ~vaddr:buf ~len;
-                (* ...then the kernel copies it out *)
-                ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
-                Uapi.write_exact u ~fd ~vaddr:buf ~len
-              done;
-              cycles := Cost.cycles (Cloak.Vmm.cost vmm) - c0);
-        ])
-      ()
+  let len = 8 * Addr.page_size in
+  let cycles, r =
+    Harness.time_program
+      ~vconfig:{ Cloak.Vmm.default_config with clean_reencrypt }
+      ~cloaked:true ~name:"E10 scan-write"
+      (fun u ->
+        let fd = Uapi.openf u "/out" [ Abi.O_CREAT; Abi.O_RDWR ] in
+        let buf = Uapi.malloc u len in
+        Uapi.store u ~vaddr:buf (Bytes.make len 'r');
+        fun () ->
+          for _ = 1 to 20 do
+            (* the app scans its data read-only... *)
+            Uapi.touch u ~access:Fault.Read ~vaddr:buf ~len;
+            (* ...then the kernel copies it out *)
+            ignore (Uapi.lseek u ~fd ~pos:0 ~whence:Abi.Seek_set);
+            Uapi.write_exact u ~fd ~vaddr:buf ~len
+          done)
   in
-  if not (Harness.all_exited_zero r) then invalid_arg "E10 run failed";
-  (!cycles, r.counters)
+  (cycles, r.counters)
 
 let e10 () =
   let on_cycles, on_c = e10_run ~clean_reencrypt:true in

@@ -308,6 +308,21 @@ let run_list () =
 
 let cloaked_flag = Arg.(value & flag & info [ "cloaked" ] ~doc:"Run the program cloaked.")
 
+(* a count or size below 1 is a usage error (exit 124), never an exception
+   escaping a run *)
+let at_least_one =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer of at least 1, got %s" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let scale_arg =
+  Arg.(
+    value & opt at_least_one 1
+    & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
+
 let bench_out_arg =
   Arg.(
     value
@@ -317,9 +332,6 @@ let bench_out_arg =
 let kernel_cmd =
   let kernel_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
   in
   Cmd.v
     (Cmd.info "kernel" ~doc:"Run one SPEC-style compute kernel and report model cycles.")
@@ -345,19 +357,11 @@ let sweeps : (module Harness.S) list =
   [ (module Harness.Chaos); (module Harness.Crash); (module Harness.Soak);
     (module Harness.Migrate); (module Harness.Fleet); (module Harness.Adversary) ]
 
-let seed_count =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a seed count of at least 1, got %s" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let sweep_cmd ((module H : Harness.S) as harness) =
   let seeds_arg =
     Arg.(
       value
-      & opt seed_count H.default_seeds
+      & opt at_least_one H.default_seeds
       & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds (at least 1).")
   in
   let base_arg =
@@ -440,9 +444,6 @@ let trace_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload: $(b,fileio) or a compute kernel name.")
   in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
-  in
   let json_arg =
     Arg.(
       value
@@ -480,9 +481,6 @@ let profile_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload: $(b,fileio) or a compute kernel name.")
   in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc:"Problem size multiplier.")
-  in
   let diff_arg =
     Arg.(
       value & flag
@@ -498,7 +496,7 @@ let profile_cmd =
   in
   let cap_arg =
     Arg.(
-      value & opt int 1_048_576
+      value & opt at_least_one 1_048_576
       & info [ "cap" ] ~docv:"N"
           ~doc:
             "Trace ring capacity. Attribution refuses a wrapped ring, so this must \

@@ -229,26 +229,39 @@ let with_file t id f =
   | Some ino when ino.kind = `Dir -> Error Errno.EISDIR
   | Some ino -> f ino
 
-(* Copy [len] bytes between file pages and a user buffer, page by page.
-   [user_of_chunk]/[chunk_to_user] perform the user-memory half and may
-   raise a guest page fault; the kernel retries the whole syscall, which is
-   safe because the copy is position-based and idempotent. *)
+(* Copy the byte range [pos, pos + len) of a file through the page cache,
+   one page chunk at a time. [`Out f] hands [f] each chunk read from its
+   cached page, with the chunk's offset in the range; [`In f] takes each
+   chunk from [f] before it fetches the page, then dirties the page. A
+   user-memory half may raise a guest page fault; the kernel retries the
+   whole syscall, which is safe because the copy is position-based and
+   idempotent. *)
+let copy t ino ~pos ~len dir =
+  let copied = ref 0 in
+  while !copied < len do
+    let file_off = pos + !copied in
+    let idx = file_off / Addr.page_size in
+    let off = file_off mod Addr.page_size in
+    let chunk = min (Addr.page_size - off) (len - !copied) in
+    (match dir with
+    | `Out f ->
+        let entry = cache_page t ino idx in
+        f ~at:!copied (Cloak.Vmm.phys_read t.vmm entry.ppn ~off ~len:chunk)
+    | `In f ->
+        let data = f ~at:!copied ~len:chunk in
+        let entry = cache_page t ino idx in
+        Cloak.Vmm.phys_write t.vmm entry.ppn ~off data;
+        entry.dirty <- true);
+    copied := !copied + chunk
+  done
+
 let read t ~ctx ~inode:id ~pos ~vaddr ~len =
   with_file t id (fun ino ->
       if pos < 0 || len < 0 then Error Errno.EINVAL
       else begin
         let available = max 0 (min len (ino.size - pos)) in
-        let copied = ref 0 in
-        while !copied < available do
-          let file_off = pos + !copied in
-          let idx = file_off / Addr.page_size in
-          let off = file_off mod Addr.page_size in
-          let chunk = min (Addr.page_size - off) (available - !copied) in
-          let entry = cache_page t ino idx in
-          let data = Cloak.Vmm.phys_read t.vmm entry.ppn ~off ~len:chunk in
-          Cloak.Vmm.write t.vmm ~ctx ~vaddr:(vaddr + !copied) data;
-          copied := !copied + chunk
-        done;
+        copy t ino ~pos ~len:available
+          (`Out (fun ~at data -> Cloak.Vmm.write t.vmm ~ctx ~vaddr:(vaddr + at) data));
         Ok available
       end)
 
@@ -256,18 +269,8 @@ let write t ~ctx ~inode:id ~pos ~vaddr ~len =
   with_file t id (fun ino ->
       if pos < 0 || len < 0 then Error Errno.EINVAL
       else begin
-        let copied = ref 0 in
-        while !copied < len do
-          let file_off = pos + !copied in
-          let idx = file_off / Addr.page_size in
-          let off = file_off mod Addr.page_size in
-          let chunk = min (Addr.page_size - off) (len - !copied) in
-          let data = Cloak.Vmm.read t.vmm ~ctx ~vaddr:(vaddr + !copied) ~len:chunk in
-          let entry = cache_page t ino idx in
-          Cloak.Vmm.phys_write t.vmm entry.ppn ~off data;
-          entry.dirty <- true;
-          copied := !copied + chunk
-        done;
+        copy t ino ~pos ~len
+          (`In (fun ~at ~len -> Cloak.Vmm.read t.vmm ~ctx ~vaddr:(vaddr + at) ~len));
         ino.size <- max ino.size (pos + len);
         Ok len
       end)
@@ -276,38 +279,18 @@ let read_host t ~inode:id ~pos ~len =
   with_file t id (fun ino ->
       if pos < 0 || len < 0 then Error Errno.EINVAL
       else begin
-        let available = max 0 (min len (ino.size - pos)) in
-        let out = Bytes.create available in
-        let copied = ref 0 in
-        while !copied < available do
-          let file_off = pos + !copied in
-          let idx = file_off / Addr.page_size in
-          let off = file_off mod Addr.page_size in
-          let chunk = min (Addr.page_size - off) (available - !copied) in
-          let entry = cache_page t ino idx in
-          let data = Cloak.Vmm.phys_read t.vmm entry.ppn ~off ~len:chunk in
-          Bytes.blit data 0 out !copied chunk;
-          copied := !copied + chunk
-        done;
+        let out = Bytes.create (max 0 (min len (ino.size - pos))) in
+        copy t ino ~pos ~len:(Bytes.length out)
+          (`Out (fun ~at data -> Bytes.blit data 0 out at (Bytes.length data)));
         Ok out
       end)
 
 let write_host t ~inode:id ~pos data =
   with_file t id (fun ino ->
-      let len = Bytes.length data in
       if pos < 0 then Error Errno.EINVAL
       else begin
-        let copied = ref 0 in
-        while !copied < len do
-          let file_off = pos + !copied in
-          let idx = file_off / Addr.page_size in
-          let off = file_off mod Addr.page_size in
-          let chunk = min (Addr.page_size - off) (len - !copied) in
-          let entry = cache_page t ino idx in
-          Cloak.Vmm.phys_write t.vmm entry.ppn ~off (Bytes.sub data !copied chunk);
-          entry.dirty <- true;
-          copied := !copied + chunk
-        done;
+        let len = Bytes.length data in
+        copy t ino ~pos ~len (`In (fun ~at ~len -> Bytes.sub data at len));
         ino.size <- max ino.size (pos + len);
         Ok len
       end)

@@ -182,24 +182,20 @@ type journal_stats = {
 }
 
 let calibrate ~seed =
-  let plan = Inject.plan [] in
-  let engine = Inject.create plan in
-  let vmm = Cloak.Vmm.create ~config:(Stack.vconfig ~salt:0xC4A05 ~seed) ~engine () in
-  let k = Kernel.create ~config:kconfig vmm in
-  ignore (Kernel.spawn k ~cloaked:true protagonist);
-  ignore (Kernel.spawn k antagonist);
-  Kernel.run k;
+  let raw = run_workload ~seed ~plan:(Inject.plan []) in
   let records, store_writes, checkpoints =
-    match Cloak.Vmm.journal vmm with
+    match Cloak.Vmm.journal raw.vmm with
     | Some j ->
         Cloak.Journal.(records_appended j, store_writes j, checkpoints_taken j)
     | None -> (0, 0, 0)
   in
+  (* run_workload always boots its VMM with an engine *)
+  let engine = Option.get (Cloak.Vmm.engine raw.vmm) in
   {
     records;
     store_writes;
     checkpoints;
-    data_writes = (Cloak.Vmm.counters vmm).disk_writes - store_writes;
+    data_writes = (Cloak.Vmm.counters raw.vmm).disk_writes - store_writes;
     occurrences = List.map (fun s -> (s, Inject.occurrences engine s)) crash_sites;
   }
 

@@ -153,7 +153,6 @@ let failover fl h ~dst ~drain blob =
       let hop = if drain then "drain" else "rescue" in
       Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop ~seq:(next_seq fl h.tid)
         ~t0 ~t1;
-      Telemetry.sample fl.tel ~at:t1 (hop ^ "-commit") 1;
       Some t1
   | _ -> None
 
@@ -171,11 +170,8 @@ let rec hook fl h blob =
   (match Inject.fire fl.engine Inject.Hb_send with
   | Some _ ->
       Balancer.missed_heartbeat fl.bal h.idx;
-      fl.hb_timeouts <- fl.hb_timeouts + 1;
-      Telemetry.sample fl.tel ~at:now "hb-miss" 1
-  | None ->
-      Balancer.heartbeat fl.bal h.idx ~now;
-      Telemetry.sample fl.tel ~at:now "heartbeat" 1);
+      fl.hb_timeouts <- fl.hb_timeouts + 1
+  | None -> Balancer.heartbeat fl.bal h.idx ~now);
   (* each heartbeat interval is one instant hop of the host's request,
      so the causal trace shows liveness between the coarse stage hops *)
   Telemetry.span fl.tel ~host:h.idx ~tid:h.tid ~hop:"heartbeat"
@@ -232,7 +228,6 @@ let crash_failover fl h =
   h.died <- true;
   h.death_at <- Cost.cycles (Cloak.Vmm.cost h.st.vmm);
   Balancer.mark_dead fl.bal h.idx ~now:h.death_at;
-  Telemetry.sample fl.tel ~at:h.death_at "host-death" 1;
   fl.lost <- fl.lost + List.length h.adopted;
   if not h.drained then
     match Kernel.supervision_stats h.st.k ~pid:h.pid with
@@ -263,7 +258,6 @@ let adopt_pending fl h errors =
              guess — this is what stitches the two hosts together *)
           Telemetry.span fl.tel ~host:h.idx ~tid:fo.fo_tid ~hop:"adopt"
             ~seq:(next_seq fl fo.fo_tid) ~t0 ~t1;
-          Telemetry.sample fl.tel ~at:t1 "adopt" 1;
           h.adopted <- (p, fo.fo_src, fo.fo_tid) :: h.adopted
       | exception e ->
           errors :=
@@ -399,11 +393,6 @@ let simulate ~seed ~mean_gap ~supervised ~telemetry (hosts : host array) =
   in
   let t = ref (next_gap ()) in
   while !t < horizon do
-    (* the queue-depth samples record the routing signal; the router
-       reads [depth] itself, so telemetry on or off routes identically *)
-    for i = 0 to n - 1 do
-      Telemetry.sample tel ~at:!t "queue-depth" (depth i !t)
-    done;
     (* a revived host restarts with an empty queue *)
     Array.iteri
       (fun i r ->
@@ -860,9 +849,7 @@ let run_seed ~seed =
       ff.r_double_resumes + h1.r_double_resumes + bh.r_double_resumes;
     audit_dropped =
       List.fold_left (fun acc r -> max acc r.r_obs.audit_dropped) 0 [ ff; h1; h2; bh ];
-    tel_samples =
-      Telemetry.samples h1.r_tel + h1.r_sup.sim_samples
-      + h1.r_unsup.sim_samples;
+    tel_samples = h1.r_sup.sim_samples + h1.r_unsup.sim_samples;
     tel_spans = Telemetry.span_count h1.r_tel;
     stitched_traces = h1.r_stitched;
     burn_fast_alerts = hostile_fast;

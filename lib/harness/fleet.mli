@@ -92,8 +92,8 @@ type run = {
   r_sup : sim;
   r_unsup : sim;
   r_tel : Telemetry.t;
-      (** the fleet registry: every host's samples and spans, each span
-          carrying its host *)
+      (** the fleet registry: every host's causal spans, each carrying its
+          host *)
   r_stitched : int;
       (** complete causal traces spanning ≥ 2 hosts (each a failover
           followed cross-host from admission to completion) *)
@@ -135,7 +135,7 @@ type seed_report = {
   downtimes : int list;
   double_resumes : int;
   audit_dropped : int;
-  tel_samples : int;  (** metric samples, hostile run (fleet + overlays) *)
+  tel_samples : int;  (** overlay metric samples, hostile run *)
   tel_spans : int;  (** causal spans recorded by the hostile fleet run *)
   stitched_traces : int;  (** cross-host causal traces, hostile run *)
   burn_fast_alerts : int;  (** hostile run, supervised + unsupervised *)

@@ -48,6 +48,23 @@ let run_program ?vconfig ?kconfig ?engine ?trace ?(cloaked = false) prog =
 let all_exited_zero r =
   List.for_all (fun (_, status) -> status = Some 0) r.exit_statuses
 
+let checked ~name r =
+  if not (all_exited_zero r) then
+    invalid_arg (Printf.sprintf "%s: a process exited non-zero" name);
+  r
+
+let time_program ?vconfig ?kconfig ?cloaked ~name prog =
+  let cycles = ref 0 in
+  let r =
+    run_program ?vconfig ?kconfig ?cloaked (fun env ->
+        let timed = prog (Uapi.of_env env) in
+        let cost = Cloak.Vmm.cost env.Abi.vmm in
+        let c0 = Cost.cycles cost in
+        timed ();
+        cycles := Cost.cycles cost - c0)
+  in
+  (!cycles, checked ~name r)
+
 module Table = struct
   let print ~title ?note ~headers rows =
     let columns = List.length headers in

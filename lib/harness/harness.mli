@@ -86,6 +86,22 @@ val run_program :
 
 val all_exited_zero : result -> bool
 
+val checked : name:string -> result -> result
+(** [r] itself when every spawned process exited 0; otherwise raises
+    [Invalid_argument] naming the workload [name]. *)
+
+val time_program :
+  ?vconfig:Cloak.Vmm.config ->
+  ?kconfig:Guest.Kernel.config ->
+  ?cloaked:bool ->
+  name:string ->
+  (Uapi.t -> unit -> unit) ->
+  int * result
+(** The one measured path of the experiment tables: run [prog] as a single
+    process; [prog u] does its setup and returns the section to time.
+    Returns that section's model cycles and the whole run's result,
+    {!checked} under [name]. *)
+
 (** {1 Table rendering} *)
 
 module Table : sig

@@ -37,15 +37,17 @@ let run ?(seed = 7) () =
   let on_ = Fleet.run_once ~telemetry:true ~plan:(hplan ()) ~seed () in
   (* the zero-overhead proof: same plan, same seed, registries off vs on
      — every charged cycle must match, and so must the overlay's routing
-     decisions (the router reads queue depth itself; the queue-depth
-     samples only record it) *)
+     decisions *)
   if off.Fleet.r_cycles <> on_.Fleet.r_cycles then
     fail
       (Printf.sprintf
          "telemetry is not free: %d model cycles off, %d on (%+d)"
          off.Fleet.r_cycles on_.Fleet.r_cycles
          (on_.Fleet.r_cycles - off.Fleet.r_cycles));
-  if Telemetry.samples off.Fleet.r_tel + Telemetry.span_count off.Fleet.r_tel > 0
+  let overlay_samples r =
+    r.Fleet.r_sup.Fleet.sim_samples + r.Fleet.r_unsup.Fleet.sim_samples
+  in
+  if overlay_samples off + Telemetry.span_count off.Fleet.r_tel > 0
   then fail "null registry recorded samples";
   if Fleet.goodput off.Fleet.r_sup <> Fleet.goodput on_.Fleet.r_sup then
     fail
@@ -54,8 +56,8 @@ let run ?(seed = 7) () =
          (Fleet.goodput off.Fleet.r_sup)
          (Fleet.goodput on_.Fleet.r_sup));
   (* the enabled run must have seen something *)
-  if Telemetry.samples on_.Fleet.r_tel = 0 then
-    fail "enabled run recorded no fleet metric samples";
+  if overlay_samples on_ = 0 then
+    fail "enabled run recorded no overlay metric samples";
   if Telemetry.span_count on_.Fleet.r_tel = 0 then
     fail "enabled run recorded no causal spans";
   (match on_.Fleet.r_obs.Stack.crash with
@@ -84,10 +86,7 @@ let run ?(seed = 7) () =
     o_seed = seed;
     o_cycles_off = off.Fleet.r_cycles;
     o_cycles_on = on_.Fleet.r_cycles;
-    o_samples =
-      Telemetry.samples on_.Fleet.r_tel
-      + on_.Fleet.r_sup.Fleet.sim_samples
-      + on_.Fleet.r_unsup.Fleet.sim_samples;
+    o_samples = overlay_samples on_;
     o_spans = Telemetry.span_count on_.Fleet.r_tel;
     o_failovers = on_.Fleet.r_failovers;
     o_stitched = on_.Fleet.r_stitched;

@@ -9,18 +9,18 @@
       MIGF1 header whether or not a registry is live, so enabling
       telemetry changes no wire byte, no MAC length, no cycle. The
       overlay's routing must agree too: the router reads each host's
-      queue depth itself, and the [queue-depth] samples only record it.
+      queue depth itself, never the registry.
     - {b load-bearing when on} — the enabled run actually observed the
-      scenario: samples and spans were recorded, every committed
-      failover stitched into a complete cross-host causal trace, a dead
-      host tripped the burn-rate monitor, and a fault-free replay of
-      the same seed paged nobody. *)
+      scenario: overlay samples and causal spans were recorded, every
+      committed failover stitched into a complete cross-host causal
+      trace, a dead host tripped the burn-rate monitor, and a fault-free
+      replay of the same seed paged nobody. *)
 
 type report = {
   o_seed : int;
   o_cycles_off : int;  (** hostile run, registries disabled *)
   o_cycles_on : int;   (** same plan and seed, registries enabled *)
-  o_samples : int;     (** enabled run: fleet + overlay metric samples *)
+  o_samples : int;     (** enabled run: overlay metric samples *)
   o_spans : int;
   o_failovers : int;
   o_stitched : int;    (** complete causal traces spanning ≥ 2 hosts *)

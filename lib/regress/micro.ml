@@ -167,57 +167,29 @@ let echo_server ~request_fd ~response_fd env =
   done;
   Uapi.exit u 0
 
-(* Run one micro and return cycles per operation. *)
+(* Run one micro and return cycles per operation. A Paired client just
+   exits after its timed loop: the exit closes its pipe ends, so the echo
+   server reads EOF and exits too. *)
 let measure ?vconfig ~cloaked (m : micro) =
-  let per_op = ref 0 in
-  let result =
-    match m.shape with
-    | Simple setup ->
-        Harness.run_program ?vconfig ~cloaked (fun env ->
-            let u = Uapi.of_env env in
-            if cloaked then ignore (Oshim.Shim.install u);
-            let op = setup u in
-            op ();
-            let vmm = (Uapi.env u).Abi.vmm in
-            let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-            for _ = 1 to m.iters do
-              op ()
-            done;
-            per_op := (Cost.cycles (Cloak.Vmm.cost vmm) - c0) / m.iters)
-    | Paired setup ->
-        Harness.run ?vconfig ~spawn:(fun k ->
-            let client env =
-              let u = Uapi.of_env env in
-              if cloaked then ignore (Oshim.Shim.install u);
-              let req_r, req_w = Uapi.pipe u in
-              let resp_r, resp_w = Uapi.pipe u in
-              let _server =
-                Uapi.fork u ~child:(fun cenv ->
-                    let cu = Uapi.of_env cenv in
-                    Uapi.close cu req_w;
-                    Uapi.close cu resp_r;
-                    echo_server ~request_fd:req_r ~response_fd:resp_w cenv)
+  let cycles, _ =
+    Harness.time_program ?vconfig ~cloaked ~name:("micro " ^ m.name) (fun u ->
+        if cloaked then ignore (Oshim.Shim.install u);
+        let op =
+          match m.shape with
+          | Simple setup -> setup u
+          | Paired setup ->
+              let request_fd, response_fd =
+                Workloads.Pair.connect u ~server:echo_server
               in
-              Uapi.close u req_r;
-              Uapi.close u resp_w;
-              let op = setup u ~request_fd:req_w ~response_fd:resp_r in
-              op ();
-              let vmm = (Uapi.env u).Abi.vmm in
-              let c0 = Cost.cycles (Cloak.Vmm.cost vmm) in
-              for _ = 1 to m.iters do
-                op ()
-              done;
-              per_op := (Cost.cycles (Cloak.Vmm.cost vmm) - c0) / m.iters;
-              Uapi.close u req_w;
-              Uapi.close u resp_r;
-              ignore (Uapi.wait u)
-            in
-            [ Guest.Kernel.spawn k ~cloaked client ])
-          ()
+              setup u ~request_fd ~response_fd
+        in
+        op ();
+        fun () ->
+          for _ = 1 to m.iters do
+            op ()
+          done)
   in
-  if not (Harness.all_exited_zero result) then
-    invalid_arg (Printf.sprintf "micro %s: a process failed" m.name);
-  !per_op
+  cycles / m.iters
 
 let table () =
   let rows =

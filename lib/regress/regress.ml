@@ -47,10 +47,7 @@ let vconfig_of cost_model =
   | Some m -> Some { Cloak.Vmm.default_config with cost_model = m }
 
 let run_cycles ?vconfig ~cloaked prog =
-  let r = Harness.run_program ?vconfig ~cloaked prog in
-  if not (Harness.all_exited_zero r) then
-    failwith "regress: a suite workload exited non-zero";
-  r
+  Harness.checked ~name:"regress suite" (Harness.run_program ?vconfig ~cloaked prog)
 
 let suite ?cost_model () =
   let vconfig = vconfig_of cost_model in

@@ -5,7 +5,7 @@
     The flight recorder ({!Trace}) answers "what happened on this VMM";
     telemetry answers "how is the fleet doing over time". A registry is
     a log of samples, each a name, a model-cycle stamp and an int value
-    (an event counts 1, a latency its cycles, a queue depth its value),
+    (an event counts 1, a latency its cycles),
     plus the causal spans. Nothing is bucketed at write time: a reader
     picks a window width and folds the log into per-window sums
     ({!window_sums}) or latency histograms ({!window_hists}). Stamps are

@@ -113,3 +113,7 @@ let client cfg ~request_fd ~response_fd env =
   done;
   send_header 'Q' "" 0;
   Uapi.exit u (if !failures = 0 then 0 else 1)
+
+let run cfg ~cloak_server env =
+  Pair.run (Uapi.of_env env) ~cloak_server ~server:(server cfg ~use_shim:true)
+    ~client:(client cfg)

@@ -18,3 +18,8 @@ val server : config -> use_shim:bool -> request_fd:int -> response_fd:int -> Gue
 val client : config -> request_fd:int -> response_fd:int -> Guest.Abi.program
 (** Issue the operation mix, verifying every GET against the model; exits
     0 only if all responses check out. *)
+
+val run : config -> cloak_server:bool -> Guest.Abi.program
+(** The E3 kvstore row: a {!Pair} of the server (with the shim; cloaked
+    when [cloak_server]) and the uncloaked client in the calling process,
+    which exits 0 only if all responses check out. *)

@@ -85,3 +85,8 @@ let client cfg ~request_fd ~response_fd env =
   Uapi.store u ~vaddr:reqbuf (encode_num (-1));
   Uapi.write_exact u ~fd:request_fd ~vaddr:reqbuf ~len:request_bytes;
   Uapi.exit u (if !failures = 0 then 0 else 1)
+
+let run cfg ~cloak_server env =
+  let u = Uapi.of_env env in
+  populate u cfg;
+  Pair.run u ~cloak_server ~server:(server cfg ~use_shim:true) ~client:(client cfg)

@@ -24,3 +24,9 @@ val client : config -> request_fd:int -> response_fd:int -> Guest.Abi.program
 
 val request_bytes : int
 (** Fixed wire size of a request. *)
+
+val run : config -> cloak_server:bool -> Guest.Abi.program
+(** The E3 webserver row: populate [/www], then a {!Pair} of the server
+    (with the shim; cloaked when [cloak_server]) and the uncloaked client
+    in the calling process, which exits 0 only if every response checks
+    out. *)

@@ -2,8 +2,6 @@
    results cloaked and native (cloaking is transparent!), and the three
    application workloads run to successful completion in both modes. *)
 
-open Guest
-
 let run_kernel ~cloaked (k : Workloads.Spec.kernel) =
   let checksum = ref 0 in
   let r =
@@ -30,62 +28,13 @@ let test_kernel_cloaking_transparent (k : Workloads.Spec.kernel) () =
 
 let test_webserver ~cloaked () =
   let cfg = { Workloads.Webserver.default with requests = 10 } in
-  let r =
-    Harness.run
-      ~spawn:(fun k ->
-        let main env =
-          let u = Uapi.of_env env in
-          Workloads.Webserver.populate u cfg;
-          let req_r, req_w = Uapi.pipe u in
-          let resp_r, resp_w = Uapi.pipe u in
-          let _ =
-            Uapi.fork u ~child:(fun senv ->
-                let su = Uapi.of_env senv in
-                Uapi.close su req_w;
-                Uapi.close su resp_r;
-                let image =
-                  Workloads.Webserver.server cfg ~use_shim:true ~request_fd:req_r
-                    ~response_fd:resp_w
-                in
-                if cloaked then Uapi.exec_cloaked su image else Uapi.exec su image)
-          in
-          Uapi.close u req_r;
-          Uapi.close u resp_w;
-          Workloads.Webserver.client cfg ~request_fd:req_w ~response_fd:resp_r env
-        in
-        [ Kernel.spawn k main ])
-      ()
-  in
+  let r = Harness.run_program (Workloads.Webserver.run cfg ~cloak_server:cloaked) in
   Alcotest.(check bool) "all processes exit 0" true (Harness.all_exited_zero r);
   Alcotest.(check bool) "no violations" true (r.Harness.violations = [])
 
 let test_kvstore ~cloaked () =
   let cfg = { Workloads.Kvstore.default with operations = 30 } in
-  let r =
-    Harness.run
-      ~spawn:(fun k ->
-        let main env =
-          let u = Uapi.of_env env in
-          let req_r, req_w = Uapi.pipe u in
-          let resp_r, resp_w = Uapi.pipe u in
-          let _ =
-            Uapi.fork u ~child:(fun senv ->
-                let su = Uapi.of_env senv in
-                Uapi.close su req_w;
-                Uapi.close su resp_r;
-                let image =
-                  Workloads.Kvstore.server cfg ~use_shim:true ~request_fd:req_r
-                    ~response_fd:resp_w
-                in
-                if cloaked then Uapi.exec_cloaked su image else Uapi.exec su image)
-          in
-          Uapi.close u req_r;
-          Uapi.close u resp_w;
-          Workloads.Kvstore.client cfg ~request_fd:req_w ~response_fd:resp_r env
-        in
-        [ Kernel.spawn k main ])
-      ()
-  in
+  let r = Harness.run_program (Workloads.Kvstore.run cfg ~cloak_server:cloaked) in
   Alcotest.(check bool) "all processes exit 0" true (Harness.all_exited_zero r)
 
 let test_fileio ~cloaked () =
@@ -138,6 +87,12 @@ let test_harness_determinism () =
   in
   Alcotest.(check int) "two identical runs, identical cycles" (go ()) (go ())
 
+(* every experiment-table row relies on the runner refusing a failed run *)
+let test_time_program_failure () =
+  Alcotest.check_raises "raises, naming the workload"
+    (Invalid_argument "exit-3: a process exited non-zero")
+    (fun () -> ignore (Harness.time_program ~name:"exit-3" (fun u () -> Uapi.exit u 3)))
+
 let test_table_formatting () =
   Alcotest.(check string) "ratio" "2.50x" (Harness.Table.ratio 2 5);
   Alcotest.(check string) "ratio div0" "n/a" (Harness.Table.ratio 0 5);
@@ -176,6 +131,7 @@ let () =
       ( "harness",
         [
           quick "determinism" test_harness_determinism;
+          quick "non-zero exit names the workload" test_time_program_failure;
           quick "table formatting" test_table_formatting;
         ] );
     ]
